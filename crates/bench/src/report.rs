@@ -9,9 +9,8 @@
 //!
 //! The tables run as separate test binaries, so a writer must not
 //! clobber the others' sections: [`write_section`] re-reads the file
-//! and carries every other known section over verbatim. The format is
-//! fully controlled by this module (flat rows, no nested brackets),
-//! which is what makes the bracket-scan in [`section_body`] sound.
+//! with the shared JSON parser and carries every other known section
+//! over unchanged.
 //!
 //! Rows record both the worker count the series *requested* and the
 //! parallelism the host *offers* ([`detected_parallelism`]): a
@@ -20,8 +19,9 @@
 //! apart. The table binaries skip multi-worker series outright on
 //! single-CPU hosts.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
+
+use implicit_pipeline::service::{parse_json, Json};
 
 /// Every section a `BENCH_vm.json` may contain, in file order.
 const SECTIONS: [&str; 5] = ["b13", "b14", "b15", "b16", "b17"];
@@ -91,60 +91,49 @@ pub fn write_section(section: &str, rows: &[BenchRow]) -> PathBuf {
     );
     let path = artifact_path();
     let existing = std::fs::read_to_string(&path).unwrap_or_default();
-    let mut out = String::from("{\n");
-    for (i, name) in SECTIONS.iter().enumerate() {
-        let body = if *name == section {
-            render_rows(rows)
-        } else {
-            section_body(&existing, name).unwrap_or_else(|| String::from("[]"))
-        };
-        let comma = if i + 1 < SECTIONS.len() { "," } else { "" };
-        let _ = writeln!(out, "  \"{name}\": {body}{comma}");
-    }
-    out.push_str("}\n");
-    std::fs::write(&path, out).expect("write BENCH_vm.json");
+    std::fs::write(&path, merge_section(&existing, section, rows)).expect("write BENCH_vm.json");
     path
 }
 
-/// Renders rows as a JSON array, one flat object per line.
-fn render_rows(rows: &[BenchRow]) -> String {
-    if rows.is_empty() {
-        return String::from("[]");
-    }
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"series\": \"{}\", \"workers\": {}, \"cpus\": {}, \
-             \"ms\": {:.3}, \"speedup\": {:.3}, \"checksum\": {}}}{comma}",
-            escape(&r.series),
-            r.workers,
-            r.cpus,
-            r.ms,
-            r.speedup,
-            r.checksum
-        );
-    }
-    out.push_str("  ]");
+/// The artifact text with `section` set to `rows` and every other
+/// known section carried over from `existing` (a previous artifact);
+/// sections missing from it, or an unreadable `existing`, come out
+/// empty.
+fn merge_section(existing: &str, section: &str, rows: &[BenchRow]) -> String {
+    let old = parse_json(existing).ok();
+    let fields = SECTIONS
+        .iter()
+        .map(|name| {
+            let body = if *name == section {
+                Json::Arr(rows.iter().map(row_json).collect())
+            } else {
+                old.as_ref()
+                    .and_then(|o| o.get(name))
+                    .filter(|v| v.as_arr().is_some())
+                    .cloned()
+                    .unwrap_or(Json::Arr(Vec::new()))
+            };
+            ((*name).to_owned(), body)
+        })
+        .collect();
+    let mut out = Json::Obj(fields).render();
+    out.push('\n');
     out
 }
 
-/// Extracts a section's `[...]` body from a previously written file.
-/// Sound only on this module's own output: rows are flat objects, so
-/// the first `]` after the key closes the array.
-fn section_body(text: &str, name: &str) -> Option<String> {
-    let key = format!("\"{name}\":");
-    let start = text.find(&key)? + key.len();
-    let rest = &text[start..];
-    let open = rest.find('[')?;
-    let close = rest.find(']')?;
-    (open < close).then(|| rest[open..=close].to_string())
-}
-
-/// Escapes a series label for a JSON string literal.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// One row as a flat JSON object.
+fn row_json(r: &BenchRow) -> Json {
+    Json::obj(vec![
+        ("series", Json::Str(r.series.clone())),
+        ("workers", Json::Int(r.workers as i64)),
+        ("cpus", Json::Int(r.cpus as i64)),
+        ("ms", Json::Num(r.ms)),
+        ("speedup", Json::Num(r.speedup)),
+        (
+            "checksum",
+            i64::try_from(r.checksum).map_or(Json::Num(r.checksum as f64), Json::Int),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -164,17 +153,39 @@ mod tests {
                 checksum: 42,
             },
         ];
-        let body = render_rows(&rows);
-        let file =
-            format!("{{\n  \"b13\": [],\n  \"b14\": {body},\n  \"b15\": [],\n  \"b16\": []\n}}\n");
-        assert_eq!(section_body(&file, "b14").unwrap(), body);
-        assert_eq!(section_body(&file, "b15").unwrap(), "[]");
-        assert_eq!(section_body(&file, "b16").unwrap(), "[]");
-        assert!(section_body(&file, "b99").is_none());
-        assert!(body.contains("\"ms\": 563.712"));
-        assert!(body.contains("\"speedup\": 9.170"));
-        assert!(body.contains("\"workers\": 4"));
-        assert!(body.contains("\"cpus\": 8"));
+        let file = merge_section("", "b14", &rows);
+        let doc = parse_json(&file).expect("the artifact parses");
+        let b14 = doc.get("b14").and_then(Json::as_arr).expect("b14 rows");
+        assert_eq!(b14.len(), 2);
+        assert_eq!(b14[0].str_field("series"), Some("warm tree"));
+        assert_eq!(b14[1].int_field("workers"), Some(4));
+        assert_eq!(b14[1].int_field("cpus"), Some(8));
+        assert_eq!(b14[0].int_field("checksum"), Some(42));
+        assert!(file.contains("\"ms\":563.712"), "{file}");
+        assert!(file.contains("\"speedup\":9.170"), "{file}");
+        for name in ["b13", "b15", "b16", "b17"] {
+            assert_eq!(
+                doc.get(name).and_then(Json::as_arr).map(<[Json]>::len),
+                Some(0)
+            );
+        }
+        // Rewriting another section carries b14 over unchanged, and
+        // the re-extracted rows render byte-identically.
+        let quoted = vec![BenchRow::single("daemon \"warm\" resident", 1.0, 2.0, 7)];
+        let again = merge_section(&file, "b17", &quoted);
+        let doc2 = parse_json(&again).expect("the rewritten artifact parses");
+        assert_eq!(
+            doc2.get("b14").unwrap().render(),
+            doc.get("b14").unwrap().render()
+        );
+        let b17 = doc2.get("b17").and_then(Json::as_arr).expect("b17 rows");
+        assert_eq!(b17[0].str_field("series"), Some("daemon \"warm\" resident"));
+        // An unreadable previous file degrades to empty sections.
+        let fresh = parse_json(&merge_section("{not json", "b13", &[])).unwrap();
+        assert_eq!(
+            fresh.get("b14").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(0)
+        );
     }
 
     #[test]

@@ -203,14 +203,14 @@ pub(crate) fn binding_reads(
 fn isa_tag(isa: Isa) -> u8 {
     match isa {
         Isa::Register => 0,
-        Isa::Stack => 1,
     }
 }
 
 fn isa_from(tag: u8) -> Result<Isa, ArtifactError> {
     match tag {
         0 => Ok(Isa::Register),
-        1 => Ok(Isa::Stack),
+        // Tag 1 was the retired stack ISA.
+        1 => err("stack-ISA artifact (isa tag 1) is no longer supported"),
         t => err(format!("unknown isa tag {t}")),
     }
 }
@@ -337,8 +337,6 @@ pub struct DecodedArtifact {
     pub key: u64,
     /// Resolution policy the session was built with.
     pub policy: ResolutionPolicy,
-    /// Compiled-backend instruction set.
-    pub isa: Isa,
     /// Superinstruction-fusion knob.
     pub fusion: bool,
     /// Dictionary-inline-cache knob.
@@ -401,7 +399,7 @@ impl<'d> Session<'d> {
             &self.policy,
             self.compiler.fusion_enabled(),
             self.dict_ic,
-            self.isa(),
+            Isa::Register,
         );
         let mut e = Enc::new();
         for b in MAGIC {
@@ -410,7 +408,7 @@ impl<'d> Session<'d> {
         e.u32(FORMAT_VERSION);
         e.u64(key);
         e.policy(&self.policy);
-        e.u8(isa_tag(self.isa()));
+        e.u8(isa_tag(Isa::Register));
         e.bool(self.compiler.fusion_enabled());
         e.bool(self.dict_ic);
         e.u64(self.fresh_base);
@@ -515,7 +513,7 @@ impl<'d> Session<'d> {
                 a.key, expect
             ));
         }
-        if a.policy != *policy || a.isa != isa || a.fusion != fusion || a.dict_ic != dict_ic {
+        if a.policy != *policy || a.fusion != fusion || a.dict_ic != dict_ic {
             return err("configuration fields disagree with content key");
         }
         assemble(decls, a)
@@ -544,7 +542,7 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedArtifact, ArtifactError> {
     }
     let key = d.u64()?;
     let policy = d.policy()?;
-    let isa = isa_from(d.u8()?)?;
+    let Isa::Register = isa_from(d.u8()?)?;
     let fusion = d.bool()?;
     let dict_ic = d.bool()?;
     let fresh_wm = d.u64()?;
@@ -646,7 +644,6 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedArtifact, ArtifactError> {
     Ok(DecodedArtifact {
         key,
         policy,
-        isa,
         fusion,
         dict_ic,
         fresh_watermark: fresh_wm,
@@ -687,9 +684,6 @@ fn validate(a: &DecodedArtifact) -> Result<(), ArtifactError> {
     }
     if a.vm_globals.len() != a.gamma.len() + a.context.len() + a.dict_binders.len() {
         return err("global count disagrees with binders");
-    }
-    if a.code_parts.isa != a.isa {
-        return err("code object isa disagrees with header");
     }
     for (i, m) in a.binding_meta.iter().enumerate() {
         if m.reads.iter().any(|r| *r as usize >= i) {

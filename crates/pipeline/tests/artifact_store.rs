@@ -177,6 +177,81 @@ fn corrupted_artifacts_fall_back_to_cold_and_are_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Replaces `bytes[pos]` with `b` and recomputes the trailing
+/// checksum, so the edit reaches the structural decoder.
+fn patch_rechecksummed(bytes: &[u8], pos: usize, b: u8) -> Vec<u8> {
+    let mut body = bytes[..bytes.len() - 8].to_vec();
+    body[pos] = b;
+    let sum = implicit_core::wire::fnv64(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+/// Stores `bad` under the prelude's exact key and checks that
+/// `load_or_build` degrades to one counted cold build.
+fn assert_falls_back_cold(tag: &str, decls: &Declarations, prelude: &Prelude, bad: &[u8]) {
+    let policy = ResolutionPolicy::paper();
+    let dir = tmpdir(tag);
+    let store = ArtifactStore::new(&dir).unwrap();
+    let key = artifact_key(decls, prelude, &policy, true, false, Isa::Register);
+    std::fs::write(store.content_path(key), bad).unwrap();
+    let (sess, outcome) =
+        artifact::load_or_build(&store, decls, &policy, prelude, true, false, Isa::Register)
+            .unwrap();
+    assert!(
+        matches!(outcome, LoadOutcome::Cold),
+        "[{tag}] got {outcome:?}"
+    );
+    assert_eq!(
+        sess.metrics().artifact_fallbacks,
+        1,
+        "[{tag}] fallback not counted"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn retired_stack_isa_artifacts_fall_back_to_cold() {
+    let decls = Declarations::default();
+    let prelude = lets_chain(3, 5, 2);
+    let policy = ResolutionPolicy::paper();
+    let bytes = Session::new(&decls, policy.clone(), &prelude)
+        .unwrap()
+        .to_artifact();
+    let rehydrate = |b: &[u8]| {
+        Session::from_artifact(&decls, &policy, &prelude, true, false, Isa::Register, b)
+            .map(drop)
+            .expect_err("stack-ISA artifact rehydrated")
+    };
+
+    // (a) ISA tag 1 in the header: magic, version, content key, then
+    // the policy precede it.
+    let mut e = implicit_core::wire::Enc::new();
+    e.policy(&policy);
+    let isa_at = 4 + 4 + 8 + e.buf().len();
+    assert_eq!(bytes[isa_at], 0, "header ISA tag is not where expected");
+    let bad = patch_rechecksummed(&bytes, isa_at, 1);
+    assert!(rehydrate(&bad).0.contains("isa tag 1"));
+    assert_falls_back_cold("isa-tag", &decls, &prelude, &bad);
+
+    // (b) A stack opcode tag (11 was `Ret`) in a function body under
+    // ISA tag 0. The last function's last instruction closes the code
+    // section, right before the global-value count.
+    let a = artifact::decode(&bytes).unwrap();
+    let last = *a.code_parts.funcs.last().unwrap().code.last().unwrap();
+    let mut e = implicit_core::wire::Enc::new();
+    systemf::wire::SfEnc::new(&mut e).instr(&last);
+    let mut needle = e.buf().to_vec();
+    needle.extend_from_slice(&(a.vm_globals.len() as u64).to_le_bytes());
+    let hits: Vec<usize> = (0..bytes.len() - needle.len())
+        .filter(|&i| bytes[i..].starts_with(&needle))
+        .collect();
+    assert_eq!(hits.len(), 1, "code-section end not unique: {hits:?}");
+    let bad = patch_rechecksummed(&bytes, hits[0], 11);
+    assert!(rehydrate(&bad).0.contains("instruction tag 11"));
+    assert_falls_back_cold("stack-opcode", &decls, &prelude, &bad);
+}
+
 #[test]
 fn wrong_configuration_never_rehydrates() {
     let decls = Declarations::default();
@@ -185,9 +260,10 @@ fn wrong_configuration_never_rehydrates() {
     let mut builder = Session::new(&decls, policy.clone(), &prelude).unwrap();
     let bytes = builder.to_artifact();
     drop(builder);
-    // Different ISA, policy, knobs, or prelude → key mismatch → Err.
+    // Different policy, knobs, or prelude → key mismatch → Err.
     assert!(
-        Session::from_artifact(&decls, &policy, &prelude, true, false, Isa::Stack, &bytes).is_err()
+        Session::from_artifact(&decls, &policy, &prelude, true, true, Isa::Register, &bytes)
+            .is_err()
     );
     assert!(Session::from_artifact(
         &decls,

@@ -3,8 +3,8 @@
 //! Extends the core wire format ([`implicit_core::wire`]) with the
 //! elaborated-language types this crate owns: [`FType`]/[`FExpr`]
 //! trees, runtime [`Value`] graphs (including closures and their
-//! captured [`Env`] spines), and compiled [`CodeParts`] for either
-//! ISA.
+//! captured [`Env`] spines), and compiled register-ISA
+//! [`CodeParts`].
 //!
 //! Value graphs share structure aggressively — environment spines are
 //! built incrementally, so every closure in the prelude environment
@@ -31,7 +31,7 @@ use implicit_core::symbol::Symbol;
 use implicit_core::syntax::TyCon;
 use implicit_core::wire::{cap, Dec, Enc, WireError};
 
-use crate::compile::{CapSrc, CodeParts, FuncCode, FuncKind, Instr, Isa, MatchArmCode, MatchTable};
+use crate::compile::{CapSrc, CodeParts, FuncCode, FuncKind, Instr, MatchArmCode, MatchTable};
 use crate::eval::{Binding, Env, EnvNode, Value};
 use crate::syntax::{FExpr, FMatchArm, FType};
 use crate::vm::VmClosure;
@@ -452,10 +452,8 @@ impl<'a> SfEnc<'a> {
 
     /// Writes compiled code parts for rehydrating a [`crate::compile::Compiler`].
     pub fn code_parts(&mut self, p: &CodeParts) {
-        self.e.u8(match p.isa {
-            Isa::Register => 0,
-            Isa::Stack => 1,
-        });
+        // ISA tag: the register ISA is the only one (tag 0).
+        self.e.u8(0);
         self.e.bool(p.fusion);
         self.e.len(p.globals.len());
         for g in &p.globals {
@@ -521,150 +519,9 @@ impl<'a> SfEnc<'a> {
     pub fn instr(&mut self, i: &Instr) {
         let e = &mut *self.e;
         match *i {
-            Instr::Const(k) => {
-                e.u8(0);
-                e.u32(k);
-            }
-            Instr::Local(s) => {
-                e.u8(1);
-                e.u16(s);
-            }
-            Instr::Capture(s) => {
-                e.u8(2);
-                e.u16(s);
-            }
-            Instr::Global(g) => {
-                e.u8(3);
-                e.u32(g);
-            }
-            Instr::Rec => e.u8(4),
-            Instr::Closure(f) => {
-                e.u8(5);
-                e.u32(f);
-            }
-            Instr::TyClosure(f) => {
-                e.u8(6);
-                e.u32(f);
-            }
-            Instr::EnterFix(f) => {
-                e.u8(7);
-                e.u32(f);
-            }
-            Instr::Call => e.u8(8),
-            Instr::TailCall => e.u8(9),
-            Instr::Force => e.u8(10),
-            Instr::Ret => e.u8(11),
             Instr::Jump(t) => {
                 e.u8(12);
                 e.u32(t);
-            }
-            Instr::JumpIfFalse(t) => {
-                e.u8(13);
-                e.u32(t);
-            }
-            Instr::Bin(op) => {
-                e.u8(14);
-                e.binop(op);
-            }
-            Instr::Un(op) => {
-                e.u8(15);
-                e.unop(op);
-            }
-            Instr::MakePair => e.u8(16),
-            Instr::Fst => e.u8(17),
-            Instr::Snd => e.u8(18),
-            Instr::PushNil => e.u8(19),
-            Instr::ConsList => e.u8(20),
-            Instr::CaseList {
-                head,
-                tail,
-                nil_target,
-            } => {
-                e.u8(21);
-                e.u16(head);
-                e.u16(tail);
-                e.u32(nil_target);
-            }
-            Instr::MakeRecord { name, fields } => {
-                e.u8(22);
-                e.sym(name);
-                e.u32(fields);
-            }
-            Instr::Project(f) => {
-                e.u8(23);
-                e.sym(f);
-            }
-            Instr::Inject { ctor, argc } => {
-                e.u8(24);
-                e.sym(ctor);
-                e.u16(argc);
-            }
-            Instr::Match(t) => {
-                e.u8(25);
-                e.u32(t);
-            }
-            Instr::LocalConst { slot, konst } => {
-                e.u8(26);
-                e.u16(slot);
-                e.u32(konst);
-            }
-            Instr::LocalLocal { a, b } => {
-                e.u8(27);
-                e.u16(a);
-                e.u16(b);
-            }
-            Instr::ConstBin { konst, op } => {
-                e.u8(28);
-                e.u32(konst);
-                e.binop(op);
-            }
-            Instr::LocalBin { slot, op } => {
-                e.u8(29);
-                e.u16(slot);
-                e.binop(op);
-            }
-            Instr::BinJumpIfFalse { op, target } => {
-                e.u8(30);
-                e.binop(op);
-                e.u32(target);
-            }
-            Instr::ConstRet { konst } => {
-                e.u8(31);
-                e.u32(konst);
-            }
-            Instr::LocalRet { slot } => {
-                e.u8(32);
-                e.u16(slot);
-            }
-            Instr::LocalConstBin { slot, konst, op } => {
-                e.u8(33);
-                e.u16(slot);
-                e.u32(konst);
-                e.binop(op);
-            }
-            Instr::LocalLocalBin { a, b, op } => {
-                e.u8(34);
-                e.u16(a);
-                e.u16(b);
-                e.binop(op);
-            }
-            Instr::LocalConstBinJump {
-                slot,
-                konst,
-                op,
-                target,
-            } => {
-                e.u8(35);
-                e.u16(slot);
-                e.u32(konst);
-                e.binop(op);
-                e.u32(target);
-            }
-            Instr::LocalConstBinTail { slot, konst, op } => {
-                e.u8(36);
-                e.u16(slot);
-                e.u32(konst);
-                e.binop(op);
             }
             Instr::RConst { dst, konst } => {
                 e.u8(37);
@@ -1242,11 +1099,11 @@ impl<'a, 'b> SfDec<'a, 'b> {
 
     /// Reads compiled code parts.
     pub fn code_parts(&mut self) -> Result<CodeParts, WireError> {
-        let isa = match self.d.u8()? {
-            0 => Isa::Register,
-            1 => Isa::Stack,
+        match self.d.u8()? {
+            0 => {}
+            1 => return err("stack-ISA code (isa tag 1) is no longer supported".into()),
             t => return err(format!("bad isa tag {t}")),
-        };
+        }
         let fusion = self.d.bool()?;
         let ng = self.d.len()?;
         let mut globals = Vec::with_capacity(ng.min(1 << 16));
@@ -1313,7 +1170,6 @@ impl<'a, 'b> SfDec<'a, 'b> {
             }
         }
         Ok(CodeParts {
-            isa,
             funcs,
             consts,
             field_lists,
@@ -1360,105 +1216,12 @@ impl<'a, 'b> SfDec<'a, 'b> {
     pub fn instr(&mut self) -> Result<Instr, WireError> {
         let d = &mut *self.d;
         Ok(match d.u8()? {
-            0 => Instr::Const(d.u32()?),
-            1 => Instr::Local(d.u16()?),
-            2 => Instr::Capture(d.u16()?),
-            3 => Instr::Global(d.u32()?),
-            4 => Instr::Rec,
-            5 => Instr::Closure(d.u32()?),
-            6 => Instr::TyClosure(d.u32()?),
-            7 => Instr::EnterFix(d.u32()?),
-            8 => Instr::Call,
-            9 => Instr::TailCall,
-            10 => Instr::Force,
-            11 => Instr::Ret,
             12 => Instr::Jump(d.u32()?),
-            13 => Instr::JumpIfFalse(d.u32()?),
-            14 => Instr::Bin(d.binop()?),
-            15 => Instr::Un(d.unop()?),
-            16 => Instr::MakePair,
-            17 => Instr::Fst,
-            18 => Instr::Snd,
-            19 => Instr::PushNil,
-            20 => Instr::ConsList,
-            21 => {
-                let head = d.u16()?;
-                let tail = d.u16()?;
-                let nil_target = d.u32()?;
-                Instr::CaseList {
-                    head,
-                    tail,
-                    nil_target,
-                }
-            }
-            22 => {
-                let name = d.sym()?;
-                let fields = d.u32()?;
-                Instr::MakeRecord { name, fields }
-            }
-            23 => Instr::Project(d.sym()?),
-            24 => {
-                let ctor = d.sym()?;
-                let argc = d.u16()?;
-                Instr::Inject { ctor, argc }
-            }
-            25 => Instr::Match(d.u32()?),
-            26 => {
-                let slot = d.u16()?;
-                let konst = d.u32()?;
-                Instr::LocalConst { slot, konst }
-            }
-            27 => {
-                let a = d.u16()?;
-                let b = d.u16()?;
-                Instr::LocalLocal { a, b }
-            }
-            28 => {
-                let konst = d.u32()?;
-                let op = d.binop()?;
-                Instr::ConstBin { konst, op }
-            }
-            29 => {
-                let slot = d.u16()?;
-                let op = d.binop()?;
-                Instr::LocalBin { slot, op }
-            }
-            30 => {
-                let op = d.binop()?;
-                let target = d.u32()?;
-                Instr::BinJumpIfFalse { op, target }
-            }
-            31 => Instr::ConstRet { konst: d.u32()? },
-            32 => Instr::LocalRet { slot: d.u16()? },
-            33 => {
-                let slot = d.u16()?;
-                let konst = d.u32()?;
-                let op = d.binop()?;
-                Instr::LocalConstBin { slot, konst, op }
-            }
-            34 => {
-                let a = d.u16()?;
-                let b = d.u16()?;
-                let op = d.binop()?;
-                Instr::LocalLocalBin { a, b, op }
-            }
-            35 => {
-                let slot = d.u16()?;
-                let konst = d.u32()?;
-                let op = d.binop()?;
-                let target = d.u32()?;
-                Instr::LocalConstBinJump {
-                    slot,
-                    konst,
-                    op,
-                    target,
-                }
-            }
-            36 => {
-                let slot = d.u16()?;
-                let konst = d.u32()?;
-                let op = d.binop()?;
-                Instr::LocalConstBinTail { slot, konst, op }
+            // The retired stack ISA's opcodes; their tags stay unused.
+            t @ (0..=11 | 13..=36) => {
+                return err(format!(
+                    "stack-ISA instruction tag {t} is no longer supported"
+                ))
             }
             37 => {
                 let dst = d.u16()?;
@@ -1721,10 +1484,24 @@ mod tests {
         assert_eq!(a.try_eq(&b), Some(true));
     }
 
-    #[test]
-    fn compiled_code_roundtrips_on_both_isas() {
+    fn encode_parts(parts: &CodeParts) -> Vec<u8> {
+        let mut e = Enc::new();
+        {
+            let mut sf = SfEnc::new(&mut e);
+            sf.code_parts(parts);
+        }
+        e.finish()
+    }
+
+    fn decode_parts(bytes: &[u8]) -> Result<CodeParts, WireError> {
+        let mut d = Dec::new(bytes).expect("checksum");
+        SfDec::new(&mut d).code_parts()
+    }
+
+    /// `(λx. x * x) 12` compiled and exported — exercises funcs,
+    /// consts and captures.
+    fn square_parts() -> (Compiler, u32, CodeParts) {
         use implicit_core::syntax::BinOp;
-        // (λx. x * x) 12 — exercises funcs, consts and captures.
         let x = sym("x");
         let prog = FExpr::App(
             Rc::new(FExpr::Lam(
@@ -1738,28 +1515,44 @@ mod tests {
             )),
             Rc::new(FExpr::Int(12)),
         );
-        for isa in [Isa::Register, Isa::Stack] {
-            let mut c = Compiler::new_with_isa(isa);
-            let main = c.compile(&prog).expect("compile");
-            let snap = c.snapshot();
-            let parts = c.export_parts(&snap);
+        let mut c = Compiler::new();
+        let main = c.compile(&prog).expect("compile");
+        let parts = c.export_parts(&c.snapshot());
+        (c, main, parts)
+    }
 
+    #[test]
+    fn compiled_code_roundtrips() {
+        let (c, main, parts) = square_parts();
+        let c2 = Compiler::from_parts(decode_parts(&encode_parts(&parts)).expect("decode"));
+        let mut vm = Vm::new();
+        let v1 = vm.run(c.code(), main, &[]).expect("run original");
+        let v2 = vm.run(c2.code(), main, &[]).expect("run decoded");
+        assert_eq!(v1.try_eq(&v2), Some(true));
+        assert_eq!(format!("{v1:?}"), format!("{v2:?}"));
+    }
+
+    #[test]
+    fn retired_stack_isa_code_is_rejected() {
+        // The ISA tag is the first byte of the code section.
+        let (_, _, parts) = square_parts();
+        assert_eq!(encode_parts(&parts)[0], 0);
+        let one_byte = |b: u8| {
             let mut e = Enc::new();
-            {
-                let mut sf = SfEnc::new(&mut e);
-                sf.code_parts(&parts);
-            }
-            let bytes = e.finish();
+            e.u8(b);
+            e.finish()
+        };
+        let e = decode_parts(&one_byte(1)).expect_err("isa tag 1 accepted");
+        assert!(e.0.contains("isa tag 1"), "{e}");
+        // Every stack opcode tag (11 was `Ret`) is refused, and the
+        // register ISA's `Jump` keeps tag 12.
+        for tag in (0..=11).chain(13..=36) {
+            let bytes = one_byte(tag);
             let mut d = Dec::new(&bytes).expect("checksum");
-            let mut sf = SfDec::new(&mut d);
-            let parts2 = sf.code_parts().expect("decode");
-            let c2 = Compiler::from_parts(parts2);
-
-            let mut vm = Vm::new();
-            let v1 = vm.run(c.code(), main, &[]).expect("run original");
-            let v2 = vm.run(c2.code(), main, &[]).expect("run decoded");
-            assert_eq!(v1.try_eq(&v2), Some(true));
-            assert_eq!(format!("{v1:?}"), format!("{v2:?}"));
+            let e = SfDec::new(&mut d)
+                .instr()
+                .expect_err("stack opcode accepted");
+            assert!(e.0.contains(&format!("instruction tag {tag} ")), "{e}");
         }
     }
 

@@ -10,23 +10,35 @@
 //! The same workloads also run through the bytecode backend, with
 //! separate budgets for compilation (instruction buffers, constant
 //! pool, capture lists) and execution (value heap only — frames and
-//! operand stacks amortize to a handful of `Vec` growths).
+//! register files amortize to a handful of `Vec` growths).
+//!
+//! The counters are per thread, so tests running in parallel under
+//! the default harness never see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use systemf::eval::{Evaluator, Value};
 use systemf::syntax::{BinOp, FExpr, FMatchArm, FType};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initializers with no destructor: reading them never
+    // allocates, so the allocator itself may touch them.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Charges one allocation of `size` bytes to the calling thread.
+fn count(size: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -35,8 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,14 +55,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Runs `f` and returns its value with the allocations (count,
+/// bytes) the calling thread made meanwhile.
 fn allocs_during(f: impl FnOnce() -> Value) -> (Value, u64, u64) {
-    let allocs0 = ALLOCS.load(Ordering::Relaxed);
-    let bytes0 = BYTES.load(Ordering::Relaxed);
+    let allocs0 = ALLOCS.with(Cell::get);
+    let bytes0 = BYTES.with(Cell::get);
     let v = f();
     (
         v,
-        ALLOCS.load(Ordering::Relaxed) - allocs0,
-        BYTES.load(Ordering::Relaxed) - bytes0,
+        ALLOCS.with(Cell::get) - allocs0,
+        BYTES.with(Cell::get) - bytes0,
     )
 }
 
@@ -296,10 +309,9 @@ fn vm_path_allocation_budget() {
     // Run cost is the per-run bump arena: tagged words are `Copy`, so
     // ints/bools/pairs/conses cost amortized `Vec` doublings instead
     // of one `Rc` box per value. The register loop measures 34 / 39 /
-    // 434 allocations — fewer than the stack loop's 40 / 44 / 433,
-    // since one flat register file replaces the locals + operand-stack
-    // pair (the match loop still pays one args-`Vec` per `Inject` and
-    // one fields-`Vec` per `Make`). Byte traffic on the deep non-tail
+    // 434 allocations: one flat register file serves every frame (the
+    // match loop still pays one args-`Vec` per `Inject` and one
+    // fields-`Vec` per `Make`). Byte traffic on the deep non-tail
     // recursion is a little higher (each of the 500 live windows is a
     // full frame's registers, and the file doubles through them);
     // budgets leave ~40% headroom.

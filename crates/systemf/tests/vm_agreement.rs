@@ -1,14 +1,12 @@
 //! Backend-agreement differential test: for generated λ⇒ programs,
-//! the register VM, the stack VM, the tree-walking System F
-//! evaluator, and the direct operational semantics must compute the
-//! same value — under every resolution policy, since each policy may
-//! elaborate to a *different* System F term (different evidence), and
-//! both VM ISAs have to agree with the tree-walker on whichever term
-//! it is handed.
+//! the register VM, the tree-walking System F evaluator, and the
+//! direct operational semantics must compute the same value — under
+//! every resolution policy, since each policy may elaborate to a
+//! *different* System F term (different evidence), and the VM has to
+//! agree with the tree-walker on whichever term it is handed.
 
 use implicit_core::resolve::ResolutionPolicy;
 use implicit_opsem::Interpreter;
-use systemf::Isa;
 
 const PROGRAMS: usize = 1000;
 
@@ -52,23 +50,13 @@ fn body() {
                 .unwrap_or_else(|e| panic!("program {i} [{name}]: elaboration leg failed: {e}"));
             let tree = out.value.to_string();
 
-            let vm = systemf::compile_and_run_isa(&out.target, Isa::Register).unwrap_or_else(|e| {
+            let vm = systemf::compile_and_run(&out.target).unwrap_or_else(|e| {
                 panic!("program {i} [{name}]: register vm failed: {e}\n{}", p.expr)
             });
             assert_eq!(
                 vm.to_string(),
                 tree,
                 "program {i} [{name}]: register vm vs tree-walk on\n{}",
-                p.expr
-            );
-
-            let stack = systemf::compile_and_run_isa(&out.target, Isa::Stack).unwrap_or_else(|e| {
-                panic!("program {i} [{name}]: stack vm failed: {e}\n{}", p.expr)
-            });
-            assert_eq!(
-                stack.to_string(),
-                tree,
-                "program {i} [{name}]: stack vm vs register vm/tree on\n{}",
                 p.expr
             );
 

@@ -13,13 +13,11 @@
 //!   --semantics elab|opsem|both
 //!                          evaluation route (default: both, compared)
 //!   --policy paper|most-specific|env-extension
-//!   --backend tree|vm|vm-stack
+//!   --backend tree|vm
 //!                          how the elaborated System F term is
 //!                          evaluated: the tree-walking evaluator
-//!                          (default), the closure-converted bytecode
-//!                          VM on its register ISA, or the same VM on
-//!                          the legacy stack ISA (kept for one
-//!                          release for differential testing)
+//!                          (default) or the closure-converted
+//!                          register VM
 //!   --strict               enable strict static checks (termination,
 //!                          coherence)
 //!   --batch <DIR>          compile every core program (*.imp, *.lc)
@@ -55,7 +53,7 @@
 //!                          compiler's fusion totals (instructions
 //!                          scanned, fusion rate, emitted
 //!                          superinstructions by mnemonic); requires
-//!                          --backend vm or vm-stack
+//!                          --backend vm
 //!   --xcheck               cross-check every query site with the
 //!                          intersection-subtyping resolver (the
 //!                          conformance harness's fifth leg): the
@@ -128,7 +126,7 @@ enum Input {
 fn usage() -> String {
     "usage: implicitc [--lang core|source] [--emit value|type|core|systemf|explain] \
      [--semantics elab|opsem|both] [--policy paper|most-specific|env-extension] \
-     [--backend tree|vm|vm-stack] [--strict] [--trace <file.json>] [--metrics] [--vm-stats] \
+     [--backend tree|vm] [--strict] [--trace <file.json>] [--metrics] [--vm-stats] \
      [--xcheck] [--cache-dir <d>] [--connect <host:port>] \
      (<file> | -e <program> | --batch <dir> [--jobs <m>])"
         .to_owned()
@@ -204,7 +202,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--backend" => {
                 opts.backend = match it.next().map(String::as_str).and_then(Backend::parse) {
                     Some(b) => b,
-                    None => return Err("--backend: expected tree|vm|vm-stack".to_owned()),
+                    None => return Err("--backend: expected tree|vm".to_owned()),
                 }
             }
             "--strict" => opts.strict = true,
@@ -271,7 +269,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         opts.input = Some(input.ok_or_else(usage)?);
     }
     if opts.vm_stats && opts.backend.isa().is_none() {
-        return Err("--vm-stats requires --backend vm or vm-stack".to_owned());
+        return Err("--vm-stats requires --backend vm".to_owned());
     }
     if opts.xcheck && opts.batch.is_some() {
         return Err("--xcheck verifies a single program; drop --batch".to_owned());
@@ -563,9 +561,8 @@ fn run(opts: &Options) -> Result<(), String> {
             // The VM evaluates instead of (not after) the
             // tree-walker, so deep recursion never touches the host
             // stack; preservation is still checked before erasure.
-            Backend::Vm | Backend::VmStack => {
-                let isa = opts.backend.isa().expect("VM backends have an ISA");
-                let mut compiler = systemf::Compiler::new_with_isa(isa);
+            Backend::Vm => {
+                let mut compiler = systemf::Compiler::new();
                 let main = tracer
                     .span(Phase::Compile, || compiler.compile(&target))
                     .map_err(|e| format!("vm: {e}"))?;
