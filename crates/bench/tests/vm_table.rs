@@ -19,18 +19,54 @@ const DEPTH: usize = 16;
 const ITERS: i64 = 20_000;
 const PROGRAMS: usize = 96;
 const REPS: u32 = 3;
+/// Interleaved tree/VM pairs behind the asserted speedup (odd, so the
+/// median is one pair's ratio).
+const PAIRS: usize = 7;
+
+/// Seconds for one run of `f`, asserting its checksum.
+fn once(f: &dyn Fn() -> i64, expect: i64) -> f64 {
+    let t0 = Instant::now();
+    assert_eq!(f(), expect);
+    t0.elapsed().as_secs_f64()
+}
 
 /// Times `f` (seconds per batch, best of [`REPS`] after one warmup),
 /// asserting the checksum on every run.
 fn time(f: impl Fn() -> i64, expect: i64) -> f64 {
     assert_eq!(f(), expect);
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        assert_eq!(f(), expect);
-        best = best.min(t0.elapsed().as_secs_f64());
+    (0..REPS)
+        .map(|_| once(&f, expect))
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Times `tree` and `vm` in [`PAIRS`] back-to-back pairs after one
+/// warmup each, alternating which of the two runs first. Returns the
+/// median seconds of each and the median of the per-pair `tree / vm`
+/// ratios. A host that changes speed between pairs slows both halves
+/// of a pair alike, so the ratio holds where best-of-N of each, taken
+/// at different moments, does not.
+fn paired(tree: impl Fn() -> i64, vm: impl Fn() -> i64, expect: i64) -> (f64, f64, f64) {
+    once(&tree, expect);
+    once(&vm, expect);
+    let (mut ts, mut vs, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..PAIRS {
+        let (t, v) = if i % 2 == 0 {
+            let t = once(&tree, expect);
+            (t, once(&vm, expect))
+        } else {
+            let v = once(&vm, expect);
+            (once(&tree, expect), v)
+        };
+        ts.push(t);
+        vs.push(v);
+        ratios.push(t / v);
     }
-    best
+    (median(ts), median(vs), median(ratios))
 }
 
 #[test]
@@ -50,14 +86,17 @@ fn vm_speedup_table() {
 fn table_body() {
     let cpus = detected_parallelism();
     let expect = batch_checksum(DEPTH, PROGRAMS);
-    let tree1 = time(
+    let (tree1, vm1, vm_speedup) = paired(
         || run_vm_batch_warm(DEPTH, ITERS, PROGRAMS, 1, Backend::Tree),
+        || run_vm_batch_warm(DEPTH, ITERS, PROGRAMS, 1, Backend::Vm),
         expect,
     );
     println!();
     println!(
-        "B14: {PROGRAMS} programs, {ITERS}-iteration fix loop, \
-         chain depth {DEPTH}, best of {REPS} ({cpus} CPUs)"
+        "B14: {PROGRAMS} programs, {ITERS}-iteration fix loop, chain depth {DEPTH} \
+         ({cpus} CPUs). Warm 1-worker rows: medians of {PAIRS} interleaved tree/VM \
+         pairs, and the VM's speedup is the median per-pair ratio; other rows: \
+         best of {REPS}."
     );
     println!();
     println!("| series | workers | time/batch | speedup vs warm tree |");
@@ -90,14 +129,9 @@ fn table_body() {
         vm_cold * 1e3,
         tree1 / vm_cold
     );
-    let vm1 = time(
-        || run_vm_batch_warm(DEPTH, ITERS, PROGRAMS, 1, Backend::Vm),
-        expect,
-    );
     println!(
-        "| register vm, warm-compiled | 1 | {:.1} ms | {:.2}x |",
+        "| register vm, warm-compiled | 1 | {:.1} ms | {vm_speedup:.2}x |",
         vm1 * 1e3,
-        tree1 / vm1
     );
     let vm4 = (cpus > 1).then(|| {
         let t = time(
@@ -115,20 +149,21 @@ fn table_body() {
         println!("| register vm, warm-compiled | 4 | skipped (single-CPU runner) | — |");
     }
     println!();
-    let mut series: Vec<(&str, usize, f64)> = vec![
-        ("tree-walk, warm", 1, tree1),
-        ("register vm, cold", 1, vm_cold),
-        ("register vm, warm", 1, vm1),
+    // (label, workers, seconds, speedup vs warm tree)
+    let mut series: Vec<(&str, usize, f64, f64)> = vec![
+        ("tree-walk, warm", 1, tree1, 1.0),
+        ("register vm, cold", 1, vm_cold, tree1 / vm_cold),
+        ("register vm, warm", 1, vm1, vm_speedup),
     ];
     if let Some(t) = tree4 {
-        series.insert(1, ("tree-walk, warm", 4, t));
+        series.insert(1, ("tree-walk, warm", 4, t, tree1 / t));
     }
     if let Some(t) = vm4 {
-        series.push(("register vm, warm", 4, t));
+        series.push(("register vm, warm", 4, t, tree1 / t));
     }
     let rows: Vec<BenchRow> = series
         .iter()
-        .map(|&(label, workers, t)| BenchRow {
+        .map(|&(label, workers, t, speedup)| BenchRow {
             series: format!(
                 "{label}, {workers} worker{}",
                 if workers == 1 { "" } else { "s" }
@@ -136,7 +171,7 @@ fn table_body() {
             workers,
             cpus,
             ms: t * 1e3,
-            speedup: tree1 / t,
+            speedup,
             checksum: expect.unsigned_abs(),
         })
         .collect();
@@ -176,8 +211,8 @@ fn table_body() {
         "the dictionary inline cache never hit across {PROGRAMS} repeated ground queries"
     );
     assert!(
-        tree1 / vm1 >= 9.0,
-        "warm register VM speedup {:.2}x over the tree-walker is below the 9x acceptance bar",
-        tree1 / vm1
+        vm_speedup >= 9.0,
+        "warm register VM speedup {vm_speedup:.2}x over the tree-walker (median of {PAIRS} \
+         interleaved pairs) is below the 9x acceptance bar"
     );
 }

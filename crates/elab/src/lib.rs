@@ -296,25 +296,50 @@ pub struct Elaborator<'d> {
     dict: Option<Rc<RefCell<DictCache>>>,
 }
 
-struct State {
+/// Elaboration state. The caller's term environment and evidence
+/// frames are borrowed, never copied, so elaborating under a large
+/// warm environment costs no more than under an empty one; binders the
+/// elaborator meets on its way down go on the owned stacks above them.
+struct State<'a> {
+    gamma_base: &'a [(Symbol, Type)],
     gamma: Vec<(Symbol, Type)>,
     /// Resolution environment (types only).
     delta: ImplicitEnv,
     /// Evidence variables, frame-aligned with `delta`: outermost
     /// first, entries in the stored (canonical) context order.
+    evidence_base: &'a [Vec<Symbol>],
     evidence: Vec<Vec<Symbol>>,
     tyvars: BTreeSet<TyVar>,
     /// Arities of in-scope type variables (absent = kind `*`).
     kinds: std::collections::BTreeMap<TyVar, usize>,
 }
 
-impl State {
+impl State<'_> {
+    /// The type of the innermost binder of `x`.
+    fn lookup(&self, x: Symbol) -> Option<&Type> {
+        self.gamma
+            .iter()
+            .rev()
+            .chain(self.gamma_base.iter().rev())
+            .find(|(y, _)| *y == x)
+            .map(|(_, t)| t)
+    }
+
+    /// Every term binder's type, in no particular order.
+    fn gamma_types(&self) -> impl Iterator<Item = &Type> {
+        self.gamma_base.iter().chain(&self.gamma).map(|(_, t)| t)
+    }
+
     /// Evidence variable for `RuleRef::Env { frame, index }` (frame
     /// counted from the innermost).
     fn evidence_var(&self, frame: usize, index: usize) -> Option<Symbol> {
-        let n = self.evidence.len();
+        let n = self.evidence_base.len() + self.evidence.len();
         let outer_ix = n.checked_sub(1 + frame)?;
-        self.evidence.get(outer_ix)?.get(index).copied()
+        let frame = match outer_ix.checked_sub(self.evidence_base.len()) {
+            Some(local_ix) => &self.evidence[local_ix],
+            None => &self.evidence_base[outer_ix],
+        };
+        frame.get(index).copied()
     }
 }
 
@@ -432,9 +457,11 @@ impl<'d> Elaborator<'d> {
             "evidence frames must align with the implicit environment"
         );
         let mut st = State {
-            gamma: gamma.to_vec(),
+            gamma_base: gamma,
+            gamma: Vec::new(),
             delta: std::mem::take(delta),
-            evidence: evidence.to_vec(),
+            evidence_base: evidence,
+            evidence: Vec::new(),
             tyvars: BTreeSet::new(),
             kinds: std::collections::BTreeMap::new(),
         };
@@ -443,20 +470,14 @@ impl<'d> Elaborator<'d> {
         out
     }
 
-    fn elab(&self, st: &mut State, e: &Expr) -> Result<(Type, FExpr), ElabError> {
+    fn elab(&self, st: &mut State<'_>, e: &Expr) -> Result<(Type, FExpr), ElabError> {
         match e {
             Expr::Int(n) => Ok((Type::Int, FExpr::Int(*n))),
             Expr::Bool(b) => Ok((Type::Bool, FExpr::Bool(*b))),
             Expr::Str(s) => Ok((Type::Str, FExpr::Str(s.clone()))),
             Expr::Unit => Ok((Type::Unit, FExpr::Unit)),
             Expr::Var(x) => {
-                let t = st
-                    .gamma
-                    .iter()
-                    .rev()
-                    .find(|(y, _)| y == x)
-                    .map(|(_, t)| t.clone())
-                    .ok_or(TypeError::UnboundVar(*x))?;
+                let t = st.lookup(*x).cloned().ok_or(TypeError::UnboundVar(*x))?;
                 Ok((t, FExpr::Var(*x)))
             }
             Expr::Lam(x, t, body) => {
@@ -541,7 +562,7 @@ impl<'d> Elaborator<'d> {
                     .tyvars
                     .iter()
                     .copied()
-                    .chain(st.gamma.iter().flat_map(|(_, t)| t.ftv()))
+                    .chain(st.gamma_types().flat_map(Type::ftv))
                     .chain(st.delta.ftv())
                     .collect();
                 let (rho, body) = if rho.vars().iter().any(|v| used.contains(v)) {
@@ -891,7 +912,7 @@ impl<'d> Elaborator<'d> {
     #[inline(never)]
     fn elab_inject(
         &self,
-        st: &mut State,
+        st: &mut State<'_>,
         ctor: Symbol,
         targs: &[Type],
         args: &[Expr],
@@ -956,7 +977,7 @@ impl<'d> Elaborator<'d> {
     #[inline(never)]
     fn elab_match(
         &self,
-        st: &mut State,
+        st: &mut State<'_>,
         scrut: &Expr,
         arms: &[implicit_core::syntax::MatchArm],
     ) -> Result<(Type, FExpr), ElabError> {
@@ -1031,7 +1052,7 @@ impl<'d> Elaborator<'d> {
 
     /// Rule `TrRes`: turns a resolution derivation into System F
     /// evidence `Λᾱ. λ(x̄:|ρ̄|). (E Ē)`.
-    fn evidence_of(&self, st: &State, res: &Resolution) -> Result<FExpr, ElabError> {
+    fn evidence_of(&self, st: &State<'_>, res: &Resolution) -> Result<FExpr, ElabError> {
         // Fresh binders for the query's own (assumed) context.
         let binders: Vec<Symbol> = res.query.context().iter().map(|_| fresh("q")).collect();
         let body = self.evidence_body(st, res, &binders)?;
@@ -1047,7 +1068,7 @@ impl<'d> Elaborator<'d> {
 
     fn evidence_body(
         &self,
-        st: &State,
+        st: &State<'_>,
         res: &Resolution,
         binders: &[Symbol],
     ) -> Result<FExpr, ElabError> {

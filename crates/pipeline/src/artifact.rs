@@ -46,7 +46,7 @@ use implicit_core::symbol::{ensure_fresh_at_least, fresh_watermark, Symbol};
 use implicit_core::syntax::{Declarations, RuleType, Type};
 use implicit_core::trace::MetricsSink;
 use implicit_core::wire::{fnv64, Dec, Enc, WireError};
-use implicit_elab::{translate_decls, DictCache, Elaborator};
+use implicit_elab::{translate_decls, translate_rule_type, translate_type, DictCache, Elaborator};
 use implicit_opsem::interp::MemoExport;
 use implicit_opsem::wire::{OpDec, OpEnc};
 use implicit_opsem::{ImplStack, Interpreter, VarEnv};
@@ -55,7 +55,9 @@ use systemf::eval::Env as FEnv;
 use systemf::wire::{SfDec, SfEnc};
 use systemf::{Compiler, Evaluator, FExpr, FType, Isa};
 
-use crate::{check_closed, compile_eval, Prelude, Session, SessionError, SessionStats};
+use crate::{
+    check_binding, compile_eval, prelude_fgamma, Prelude, Session, SessionError, SessionStats,
+};
 
 /// Artifact file magic.
 const MAGIC: [u8; 4] = *b"IART";
@@ -361,7 +363,8 @@ pub struct DecodedArtifact {
     pub vm_globals: Vec<systemf::Value>,
     /// Tree-walker environment binding lets and evidence.
     pub fenv: FEnv,
-    /// Preservation binders for promoted dictionary globals.
+    /// Promoted dictionary globals' System F binders (the suffix of the
+    /// session's System F environment).
     pub dict_binders: Vec<(Symbol, FType)>,
     /// Promoted dictionary entries (query → global name).
     pub dict_entries: Vec<(RuleType, Symbol)>,
@@ -447,8 +450,9 @@ impl<'d> Session<'d> {
                 sf.value(v);
             }
             sf.env(&self.fenv);
-            sf.e.len(self.dict_binders.len());
-            for (s, t) in &self.dict_binders {
+            let dict_binders = self.dict_binders();
+            sf.e.len(dict_binders.len());
+            for (s, t) in dict_binders {
                 sf.e.sym(*s);
                 sf.ftype(t);
             }
@@ -670,6 +674,9 @@ fn validate(a: &DecodedArtifact) -> Result<(), ArtifactError> {
     if a.context.len() != a.evidence.len() {
         return err("context/evidence length mismatch");
     }
+    if a.evidence.iter().any(|frame| frame.len() != 1) {
+        return err("implicit evidence frame is not a singleton");
+    }
     if a.istack.depth() != a.context.len() {
         return err("implicit stack depth disagrees with context");
     }
@@ -720,6 +727,8 @@ pub fn assemble<'d>(
     dict.import_entries(a.dict_entries);
     let elab = Elaborator::with_policy(decls, a.policy.clone());
     let fdecls = translate_decls(decls);
+    let mut fgamma = prelude_fgamma(&a.gamma, &a.evidence, &a.context);
+    fgamma.extend(a.dict_binders);
     // The watermark is taken *after* every import so all ids interned
     // during rehydration are covered — a later trim keeps them.
     let intern_base = intern::snapshot();
@@ -735,12 +744,12 @@ pub fn assemble<'d>(
         gamma: a.gamma,
         context: a.context,
         fenv: a.fenv,
+        fgamma,
         compiler,
         vm_globals: a.vm_globals,
         code_base,
         dict: Rc::new(RefCell::new(dict)),
         dict_ic: a.dict_ic,
-        dict_binders: a.dict_binders,
         interp,
         venv: a.venv,
         istack: a.istack,
@@ -856,6 +865,7 @@ pub fn rebuild_incremental<'d>(
     let elab_err = |e: implicit_elab::ElabError| ArtifactError(format!("incremental rebuild: {e}"));
 
     let mut gamma: Vec<(Symbol, Type)> = Vec::with_capacity(nlets);
+    let mut fgamma: Vec<(Symbol, FType)> = Vec::with_capacity(total);
     let mut binding_meta: Vec<BindingMeta> = Vec::with_capacity(total);
     let mut fenv = FEnv::new();
     let mut venv = VarEnv::new();
@@ -882,7 +892,7 @@ pub fn rebuild_incremental<'d>(
             if !intern::types_equal(&got, ty) {
                 return err(format!("let `{x}` declared `{ty}` but edited to `{got}`"));
             }
-            check_closed(&fdecls, &gamma, &[], &fb).map_err(pipeline_err)?;
+            check_binding(&fdecls, &fgamma, &fb).map_err(pipeline_err)?;
             let v = Evaluator::new()
                 .eval_in(&fenv, &fb)
                 .map_err(|e| ArtifactError(format!("incremental rebuild: {e}")))?;
@@ -904,6 +914,7 @@ pub fn rebuild_incremental<'d>(
             venv = venv.bind(*x, vo);
         }
         gamma.push((*x, ty.clone()));
+        fgamma.push((*x, translate_type(ty)));
     }
 
     let mut env = ImplicitEnv::new();
@@ -913,9 +924,6 @@ pub fn rebuild_incremental<'d>(
     let mut first_dirty_implicit: Option<usize> = None;
     for (j, (arg, arho)) in prelude.implicits.iter().enumerate() {
         let i = nlets + j;
-        if old.evidence[j].len() != 1 {
-            return err("implicit evidence frame is not a singleton");
-        }
         let sym = old.evidence[j][0];
         if !dirty[i] {
             let v = old_fenv[i]
@@ -927,6 +935,7 @@ pub fn rebuild_incremental<'d>(
             env.push(vec![arho.clone()]);
             evidence.push(old.evidence[j].clone());
             context.push(arho.clone());
+            fgamma.push((sym, translate_rule_type(arho)));
             binding_meta.push(old.binding_meta[i].clone());
             reused += 1;
         } else {
@@ -942,13 +951,7 @@ pub fn rebuild_incremental<'d>(
                     "implicit binding declared `{arho}` but edited to `{got}`"
                 ));
             }
-            let outer: Vec<(Symbol, RuleType)> = evidence
-                .iter()
-                .flat_map(|syms| syms.iter())
-                .copied()
-                .zip(context.iter().cloned())
-                .collect();
-            check_closed(&fdecls, &gamma, &outer, &ea).map_err(pipeline_err)?;
+            check_binding(&fdecls, &fgamma, &ea).map_err(pipeline_err)?;
             let v = Evaluator::new()
                 .eval_in(&fenv, &ea)
                 .map_err(|e| ArtifactError(format!("incremental rebuild: {e}")))?;
@@ -977,6 +980,7 @@ pub fn rebuild_incremental<'d>(
             env.push(vec![arho.clone()]);
             evidence.push(vec![sym]);
             context.push(arho.clone());
+            fgamma.push((sym, translate_rule_type(arho)));
         }
     }
 
@@ -1004,6 +1008,7 @@ pub fn rebuild_incremental<'d>(
     interp.import_memo_roots(&istack, roots);
 
     let dict = DictCache::new(evidence.len());
+    fgamma.extend(old.dict_binders);
     let intern_base = intern::snapshot();
     let env_base = env.snapshot();
     let code_base = compiler.snapshot();
@@ -1023,12 +1028,12 @@ pub fn rebuild_incremental<'d>(
         gamma,
         context,
         fenv,
+        fgamma,
         compiler,
         vm_globals,
         code_base,
         dict: Rc::new(RefCell::new(dict)),
         dict_ic: old.dict_ic,
-        dict_binders: old.dict_binders,
         interp,
         venv,
         istack,
@@ -1145,7 +1150,7 @@ pub enum LoadOutcome {
 /// # Errors
 ///
 /// Only a failed *cold build* errors (same conditions as
-/// [`Session::new_configured_isa`]).
+/// [`Session::new_configured`]).
 #[allow(clippy::too_many_arguments)]
 pub fn load_or_build<'d>(
     store: &ArtifactStore,
@@ -1197,7 +1202,7 @@ pub fn load_or_build<'d>(
             }
         }
     }
-    let mut s = Session::new_configured_isa(decls, policy.clone(), prelude, fusion, dict_ic, isa)?;
+    let mut s = Session::new_configured(decls, policy.clone(), prelude, fusion, dict_ic)?;
     s.note_artifact_fallbacks(fallbacks);
     let bytes = s.to_artifact();
     let _ = store.save(key, config, &bytes);

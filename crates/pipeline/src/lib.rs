@@ -56,6 +56,7 @@ use implicit_elab::{ElabError, RunError, RunOutput};
 use implicit_opsem::{ImplStack, Interpreter, OpsemError, VarEnv};
 use systemf::compile::CodeSnapshot;
 use systemf::eval::Env as FEnv;
+use systemf::typeck::typecheck_open;
 use systemf::{CompileError, Compiler, Evaluator, FDeclarations, FExpr, FType, Isa, Vm};
 
 pub use driver::{run_batch, run_batch_scoped, spawn_service_worker, JobSource, WorkerMeta};
@@ -276,8 +277,8 @@ impl Backend {
     }
 
     /// The instruction set a compiled backend wants from the session
-    /// compiler (`None` for the tree-walker); pass this to
-    /// [`Session::new_configured_isa`].
+    /// compiler (`None` for the tree-walker) — the ISA an artifact
+    /// records ([`Session::from_artifact`]).
     pub fn isa(self) -> Option<Isa> {
         match self {
             Backend::Tree => None,
@@ -317,6 +318,11 @@ pub struct Session<'d> {
     context: Vec<RuleType>,
     /// System F environment binding `gamma` names and evidence vars.
     fenv: FEnv,
+    /// System F *typing* environment every program's preservation
+    /// check runs under: each `let` at its translated type, then each
+    /// evidence variable at its translated rule type, then each
+    /// promoted dictionary global (see [`Session::dict_binders`]).
+    fgamma: Vec<(Symbol, FType)>,
     /// Compiled backend: prelude bindings compiled once, their values
     /// in `vm_globals` (parallel to the compiler's global table);
     /// per-program code is an extension rolled back to `code_base`.
@@ -328,9 +334,6 @@ pub struct Session<'d> {
     /// [`Session::set_dict_ic`]).
     dict: Rc<RefCell<DictCache>>,
     dict_ic: bool,
-    /// Preservation-wrapper binders for promoted dictionary globals,
-    /// parallel to their `vm_globals`/compiler-global registrations.
-    dict_binders: Vec<(Symbol, FType)>,
     /// Operational-semantics leg: one interpreter whose memo persists.
     interp: Interpreter<'d>,
     venv: VarEnv,
@@ -397,24 +400,6 @@ impl<'d> Session<'d> {
         fusion: bool,
         dict_ic: bool,
     ) -> Result<Session<'d>, SessionError> {
-        Session::new_configured_isa(decls, policy, prelude, fusion, dict_ic, Isa::default())
-    }
-
-    /// [`Session::new_configured`] with the compiled backend's
-    /// instruction set named explicitly. [`Isa::Register`] is the only
-    /// one; [`Backend::isa`] gives it for the VM backend.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::new`].
-    pub fn new_configured_isa(
-        decls: &'d Declarations,
-        policy: ResolutionPolicy,
-        prelude: &Prelude,
-        fusion: bool,
-        dict_ic: bool,
-        isa: Isa,
-    ) -> Result<Session<'d>, SessionError> {
         let elab = Elaborator::with_policy(decls, policy.clone());
         let fdecls = translate_decls(decls);
         let mut interp = Interpreter::new(decls).with_policy(policy.clone());
@@ -425,7 +410,7 @@ impl<'d> Session<'d> {
         let mut binding_meta: Vec<artifact::BindingMeta> = Vec::new();
         let mut fenv = FEnv::new();
         let mut venv = VarEnv::new();
-        let Isa::Register = isa;
+        let mut fgamma: Vec<(Symbol, FType)> = Vec::new();
         let mut compiler = Compiler::new();
         compiler.set_fusion(fusion);
         let mut vm_globals: Vec<systemf::Value> = Vec::new();
@@ -439,7 +424,7 @@ impl<'d> Session<'d> {
                     "let `{x}` declared `{ty}` but its binding has type `{got}`"
                 )));
             }
-            check_closed(&fdecls, &gamma, &[], &fb)?;
+            check_binding(&fdecls, &fgamma, &fb)?;
             let v = Evaluator::new()
                 .eval_in(&fenv, &fb)
                 .map_err(|e| SessionError::Run(RunError::Eval(e)))?;
@@ -463,6 +448,7 @@ impl<'d> Session<'d> {
                 .map_err(|e| SessionError::Prelude(format!("let `{x}` diverged in opsem: {e}")))?;
             venv = venv.bind(*x, vo);
             gamma.push((*x, ty.clone()));
+            fgamma.push((*x, translate_type(ty)));
         }
 
         // Implicit bindings: each opens its own nested scope, so
@@ -483,13 +469,7 @@ impl<'d> Session<'d> {
                     "implicit binding declared `{arho}` but has type `{got}`"
                 )));
             }
-            let outer: Vec<(Symbol, RuleType)> = evidence
-                .iter()
-                .flat_map(|syms| syms.iter())
-                .copied()
-                .zip(context.iter().cloned())
-                .collect();
-            check_closed(&fdecls, &gamma, &outer, &ea)?;
+            check_binding(&fdecls, &fgamma, &ea)?;
             let v = Evaluator::new()
                 .eval_in(&fenv, &ea)
                 .map_err(|e| SessionError::Run(RunError::Eval(e)))?;
@@ -518,6 +498,7 @@ impl<'d> Session<'d> {
             env.push(vec![arho.clone()]);
             evidence.push(vec![sym]);
             context.push(arho.clone());
+            fgamma.push((sym, translate_rule_type(arho)));
         }
 
         let intern_base = intern::snapshot();
@@ -535,12 +516,12 @@ impl<'d> Session<'d> {
             gamma,
             context,
             fenv,
+            fgamma,
             compiler,
             vm_globals,
             code_base,
             dict,
             dict_ic,
-            dict_binders: Vec::new(),
             interp,
             venv,
             istack,
@@ -555,6 +536,31 @@ impl<'d> Session<'d> {
             profile_dispatch: false,
             dispatch_counts: std::collections::HashMap::new(),
         })
+    }
+
+    /// [`Session::new_configured`] for callers that name the compiled
+    /// backend's instruction set; [`Isa::Register`] is the only one,
+    /// so the argument selects nothing.
+    ///
+    /// # Errors
+    ///
+    /// See [`Session::new`].
+    pub fn new_configured_isa(
+        decls: &'d Declarations,
+        policy: ResolutionPolicy,
+        prelude: &Prelude,
+        fusion: bool,
+        dict_ic: bool,
+        _isa: Isa,
+    ) -> Result<Session<'d>, SessionError> {
+        Session::new_configured(decls, policy, prelude, fusion, dict_ic)
+    }
+
+    /// The promoted dictionary globals' binders: the suffix of the
+    /// System F environment past the prelude's `let` and evidence
+    /// binders, parallel to their global registrations.
+    fn dict_binders(&self) -> &[(Symbol, FType)] {
+        &self.fgamma[self.gamma.len() + self.context.len()..]
     }
 
     /// Folds `n` artifact-load fallbacks (corrupt/stale/mismatched
@@ -770,8 +776,8 @@ impl<'d> Session<'d> {
     }
 
     /// Elaborates `e` under the warm environment and typechecks the
-    /// closed wrapper (preservation), returning the source type, the
-    /// open target term, and its type.
+    /// target under the session's System F environment (preservation),
+    /// returning the source type, the open target term, and its type.
     fn elaborate_and_check(&mut self, e: &Expr) -> Result<(Type, FExpr, FType), RunError> {
         self.emit(TraceEvent::PhaseStart {
             phase: Phase::Elaborate,
@@ -783,43 +789,30 @@ impl<'d> Session<'d> {
             phase: Phase::Elaborate,
         });
         let (source_type, target) = elaborated.map_err(RunError::Elab)?;
-        // `target` has the prelude's evidence and `let` variables
-        // free; preservation is checked on the closed wrapper.
-        let mut closed = target.clone();
-        let binders: Vec<(Symbol, FType)> = self
-            .gamma
-            .iter()
-            .map(|(x, ty)| (*x, translate_type(ty)))
-            .chain(
-                self.evidence
-                    .iter()
-                    .flat_map(|syms| syms.iter())
-                    .copied()
-                    .zip(self.context.iter().map(translate_rule_type)),
-            )
-            // Promoted dictionary globals are free variables of
-            // IC-hit targets; bind them in the preservation wrapper
-            // like any other piece of session state.
-            .chain(self.dict_binders.iter().cloned())
-            .collect();
-        for (x, fty) in binders.iter().rev() {
-            closed = FExpr::Lam(*x, fty.clone(), closed.into());
-        }
+        let target_type = self.check_preservation(&target)?;
+        Ok((source_type, target, target_type))
+    }
+
+    /// The preservation check of an elaborated program: typechecks
+    /// `target`, whose free variables are the prelude's `let` and
+    /// evidence variables and promoted dictionary globals, under the
+    /// session's System F environment. By the `Lam` rule this is the
+    /// closed check of `λx̄:|τ̄|. target` with its arrows peeled off —
+    /// the same type, or the same error — without rebuilding the
+    /// binders per program.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::PreservationViolated`] if `target` is ill-typed.
+    pub fn check_preservation(&mut self, target: &FExpr) -> Result<FType, RunError> {
         self.emit(TraceEvent::PhaseStart {
             phase: Phase::Preservation,
         });
-        let checked = systemf::typecheck(&self.fdecls, &closed);
+        let checked = typecheck_open(&self.fdecls, &self.fgamma, target);
         self.emit(TraceEvent::PhaseEnd {
             phase: Phase::Preservation,
         });
-        let mut target_type = checked.map_err(RunError::PreservationViolated)?;
-        for _ in 0..binders.len() {
-            let FType::Arrow(_, r) = target_type else {
-                unreachable!("wrapper type mirrors the wrapper lambdas");
-            };
-            target_type = (*r).clone();
-        }
-        Ok((source_type, target, target_type))
+        checked.map_err(RunError::PreservationViolated)
     }
 
     /// Runs one program like [`Session::run`], but evaluates the
@@ -880,7 +873,7 @@ impl<'d> Session<'d> {
                     let g = fresh("dict");
                     self.compiler.add_global(g);
                     self.vm_globals.push(v);
-                    self.dict_binders.push((g, translate_rule_type(&query)));
+                    self.fgamma.push((g, translate_rule_type(&query)));
                     self.dict.borrow_mut().insert(&query, g);
                     self.code_base = self.compiler.snapshot();
                 }
@@ -1082,26 +1075,38 @@ fn compile_error_to_eval(e: CompileError) -> systemf::EvalError {
     }
 }
 
-/// Preservation check for a prelude binding: closes `fe` over the
-/// `let` and evidence binders in scope and typechecks it.
-fn check_closed(
+/// Preservation check for a prelude binding: typechecks its
+/// elaboration `fe` under the System F environment of the bindings
+/// before it.
+fn check_binding(
     fdecls: &FDeclarations,
-    gamma: &[(Symbol, Type)],
-    evidence: &[(Symbol, RuleType)],
+    fgamma: &[(Symbol, FType)],
     fe: &FExpr,
 ) -> Result<(), SessionError> {
-    let mut closed = fe.clone();
-    let binders = gamma
-        .iter()
-        .map(|(x, ty)| (*x, translate_type(ty)))
-        .chain(evidence.iter().map(|(x, r)| (*x, translate_rule_type(r))))
-        .collect::<Vec<_>>();
-    for (x, fty) in binders.iter().rev() {
-        closed = FExpr::Lam(*x, fty.clone(), closed.into());
-    }
-    systemf::typecheck(fdecls, &closed)
+    typecheck_open(fdecls, fgamma, fe)
         .map(|_| ())
         .map_err(|e| SessionError::Run(RunError::PreservationViolated(e)))
+}
+
+/// The System F environment of a prelude: each `let` at its
+/// translated type, then each evidence variable at its translated
+/// rule type — the order [`Session::new`] grows it in.
+fn prelude_fgamma(
+    gamma: &[(Symbol, Type)],
+    evidence: &[Vec<Symbol>],
+    context: &[RuleType],
+) -> Vec<(Symbol, FType)> {
+    gamma
+        .iter()
+        .map(|(x, ty)| (*x, translate_type(ty)))
+        .chain(
+            evidence
+                .iter()
+                .flatten()
+                .copied()
+                .zip(context.iter().map(translate_rule_type)),
+        )
+        .collect()
 }
 
 /// A convenience error type unifying both legs for batch reporting.

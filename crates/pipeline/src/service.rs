@@ -1336,13 +1336,12 @@ fn tenant_prelude_main(
             inner.config.dict_ic,
             isa,
         ),
-        None => Session::new_configured_isa(
+        None => Session::new_configured(
             &decls,
             policy.clone(),
             &prelude,
             inner.config.fusion,
             inner.config.dict_ic,
-            isa,
         )
         .map(|s| (s, LoadOutcome::Cold)),
     };

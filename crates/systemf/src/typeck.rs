@@ -136,8 +136,45 @@ pub fn typecheck_open(
     gamma: &[(Symbol, FType)],
     e: &FExpr,
 ) -> Result<FType, FTypeError> {
-    let mut env = gamma.to_vec();
+    let mut env = Scope {
+        base: gamma,
+        local: Vec::new(),
+    };
     check(decls, &mut env, e)
+}
+
+/// A typing environment: the caller's open environment, borrowed and
+/// never copied, under the binders the checker pushes on its way down.
+/// So checking a term under a large environment costs no more than
+/// checking it under an empty one, apart from lookups that reach it.
+struct Scope<'g> {
+    base: &'g [(Symbol, FType)],
+    local: Vec<(Symbol, FType)>,
+}
+
+impl Scope<'_> {
+    fn push(&mut self, binder: (Symbol, FType)) {
+        self.local.push(binder);
+    }
+
+    fn pop(&mut self) {
+        self.local.pop();
+    }
+
+    /// The type of the innermost binder of `x`.
+    fn lookup(&self, x: Symbol) -> Option<&FType> {
+        self.local
+            .iter()
+            .rev()
+            .chain(self.base.iter().rev())
+            .find(|(y, _)| *y == x)
+            .map(|(_, t)| t)
+    }
+
+    /// Every binder's type, in no particular order.
+    fn types(&self) -> impl Iterator<Item = &FType> {
+        self.base.iter().chain(&self.local).map(|(_, t)| t)
+    }
 }
 
 fn eq(expected: &FType, found: &FType, context: &str) -> Result<(), FTypeError> {
@@ -152,22 +189,13 @@ fn eq(expected: &FType, found: &FType, context: &str) -> Result<(), FTypeError> 
     }
 }
 
-fn check(
-    decls: &FDeclarations,
-    gamma: &mut Vec<(Symbol, FType)>,
-    e: &FExpr,
-) -> Result<FType, FTypeError> {
+fn check(decls: &FDeclarations, gamma: &mut Scope<'_>, e: &FExpr) -> Result<FType, FTypeError> {
     match e {
         FExpr::Int(_) => Ok(FType::Int),
         FExpr::Bool(_) => Ok(FType::Bool),
         FExpr::Str(_) => Ok(FType::Str),
         FExpr::Unit => Ok(FType::Unit),
-        FExpr::Var(x) => gamma
-            .iter()
-            .rev()
-            .find(|(y, _)| y == x)
-            .map(|(_, t)| t.clone())
-            .ok_or(FTypeError::UnboundVar(*x)),
+        FExpr::Var(x) => gamma.lookup(*x).cloned().ok_or(FTypeError::UnboundVar(*x)),
         FExpr::Lam(x, t, b) => {
             gamma.push((*x, t.clone()));
             let out = check(decls, gamma, b);
@@ -189,7 +217,7 @@ fn check(
             // F-TAbs side condition α ∉ ftv(Γ): since elaboration
             // freshens binders, a violation indicates a bug upstream;
             // report it as a mismatch-style error.
-            if gamma.iter().any(|(_, t)| t.ftv().contains(a)) {
+            if gamma.types().any(|t| t.ftv().contains(a)) {
                 return Err(FTypeError::Mismatch {
                     expected: FType::Var(*a),
                     found: FType::Var(*a),
@@ -373,7 +401,7 @@ fn check(
 #[inline(never)]
 fn check_inject(
     decls: &FDeclarations,
-    gamma: &mut Vec<(Symbol, FType)>,
+    gamma: &mut Scope<'_>,
     ctor: Symbol,
     targs: &[FType],
     args: &[FExpr],
@@ -411,7 +439,7 @@ fn check_inject(
 #[inline(never)]
 fn check_match(
     decls: &FDeclarations,
-    gamma: &mut Vec<(Symbol, FType)>,
+    gamma: &mut Scope<'_>,
     scrut: &FExpr,
     arms: &[crate::syntax::FMatchArm],
 ) -> Result<FType, FTypeError> {
@@ -529,6 +557,43 @@ mod tests {
             )),
         );
         assert!(t.alpha_eq(&want));
+    }
+
+    #[test]
+    fn open_check_is_the_closed_check_with_arrows_peeled() {
+        // Γ = x:Int, x:Bool — the later binder shadows, as an inner λ
+        // would; a binder the term introduces shadows both.
+        let x = v("x");
+        let gamma = [(x, FType::Int), (x, FType::Bool)];
+        let decls = FDeclarations::new();
+        let open = |e: &FExpr| typecheck_open(&decls, &gamma, e);
+        let closed = |e: &FExpr| {
+            let wrapped = gamma.iter().rev().fold(e.clone(), |acc, (y, t)| {
+                FExpr::Lam(*y, t.clone(), acc.into())
+            });
+            let mut ty = typecheck(&decls, &wrapped)?;
+            for _ in &gamma {
+                let FType::Arrow(_, r) = ty else {
+                    unreachable!()
+                };
+                ty = (*r).clone();
+            }
+            Ok::<_, FTypeError>(ty)
+        };
+        let cases = [
+            FExpr::var("x"),
+            FExpr::lam("x", FType::Str, FExpr::var("x")),
+            FExpr::UnOp(UnOp::Neg, std::rc::Rc::new(FExpr::var("x"))),
+            FExpr::var("y"),
+            FExpr::TyAbs(v("a"), std::rc::Rc::new(FExpr::var("x"))),
+        ];
+        for e in &cases {
+            assert_eq!(open(e), closed(e), "{e}");
+        }
+        assert_eq!(open(&cases[0]), Ok(FType::Bool));
+        // Γ's types count for the `TyAbs` side condition too.
+        let ga = [(x, FType::Var(v("a")))];
+        assert!(typecheck_open(&decls, &ga, &cases[4]).is_err());
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! the arena and never freed mid-run (the language is pure and the
 //! run is fuel-bounded); the arena is dropped wholesale when the run
 //! finishes. The public boundary is unchanged: [`Vm::run`] takes
-//! `&[Value]` globals and returns a [`Value`], importing and
-//! exporting at the edges.
+//! `&[Value]` globals and returns a [`Value`], importing each global
+//! on its first load and exporting the result.
 //!
 //! ## Semantics
 //!
@@ -231,6 +231,20 @@ fn import(v: &Value, heap: &mut Heap) -> Word {
             heap.exts.push(v.clone());
             Word::Ext((heap.exts.len() - 1) as u32)
         }
+    }
+}
+
+/// A run's view of the global table: the boundary values, and the
+/// arena word of each one imported so far.
+struct Globals<'g> {
+    values: &'g [Value],
+    words: Vec<Option<Word>>,
+}
+
+impl Globals<'_> {
+    /// The arena word of global `idx`, importing it on first use.
+    fn load(&mut self, idx: usize, heap: &mut Heap) -> Word {
+        *self.words[idx].get_or_insert_with(|| import(&self.values[idx], heap))
     }
 }
 
@@ -529,8 +543,10 @@ impl Vm {
     /// be parallel to the owning [`Compiler`]'s global table.
     ///
     /// Creates a fresh bump arena for the run, imports the constant
-    /// pool and globals into it, executes the word-level dispatch
-    /// loop, and exports the result.
+    /// pool into it, executes the word-level dispatch loop, and
+    /// exports the result. Each global is imported on its first load,
+    /// so a run pays only for the globals it reads, not for the whole
+    /// table.
     ///
     /// # Errors
     ///
@@ -545,11 +561,14 @@ impl Vm {
     ) -> Result<Value, EvalError> {
         let mut heap = Heap::default();
         let wconsts: Vec<Word> = code.consts.iter().map(|v| import(v, &mut heap)).collect();
-        let wglobals: Vec<Word> = globals.iter().map(|v| import(v, &mut heap)).collect();
+        let mut wglobals = Globals {
+            values: globals,
+            words: vec![None; globals.len()],
+        };
         if self.profile {
-            self.run_regs::<true>(code, main, &wconsts, &wglobals, &mut heap)
+            self.run_regs::<true>(code, main, &wconsts, &mut wglobals, &mut heap)
         } else {
-            self.run_regs::<false>(code, main, &wconsts, &wglobals, &mut heap)
+            self.run_regs::<false>(code, main, &wconsts, &mut wglobals, &mut heap)
         }
     }
 
@@ -565,7 +584,7 @@ impl Vm {
         code: &CodeObject,
         main: u32,
         wconsts: &[Word],
-        wglobals: &[Word],
+        wglobals: &mut Globals<'_>,
         heap: &mut Heap,
     ) -> Result<Value, EvalError> {
         let mut regs: Vec<Word> = Vec::new();
@@ -733,7 +752,7 @@ impl Vm {
                     }
                 }
                 Instr::RGlobal { dst, idx } => {
-                    regs[base + dst as usize] = wglobals[idx as usize];
+                    regs[base + dst as usize] = wglobals.load(idx as usize, heap);
                 }
                 Instr::RRec { dst } => {
                     debug_assert_ne!(cur_rec, NONE, "rec load outside fix body");

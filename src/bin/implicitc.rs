@@ -1054,13 +1054,12 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
                 (session, Some(label))
             }
             None => (
-                implicit_pipeline::Session::new_configured_isa(
+                implicit_pipeline::Session::new_configured(
                     &decls,
                     policy.clone(),
                     &prelude,
                     true,
                     false,
-                    backend.isa().unwrap_or_default(),
                 )
                 .expect("prelude validated before dispatch"),
                 None,
