@@ -21,7 +21,7 @@
 
 use std::path::PathBuf;
 
-use implicit_pipeline::service::{parse_json, Json};
+use implicit_core::json::{parse_json, Json};
 
 /// Every section a `BENCH_vm.json` may contain, in file order.
 const SECTIONS: [&str; 5] = ["b13", "b14", "b15", "b16", "b17"];

@@ -1,6 +1,6 @@
 //! The B17 daemon-service table, measured directly (not via
 //! Criterion) so a single release run prints the exact markdown
-//! recorded in `EXPERIMENTS.md` §13:
+//! recorded in `EXPERIMENTS.md` §13 (the exact-hit open leg: §15):
 //!
 //! ```text
 //! cargo test -p implicit-bench --release --test daemon_table -- --ignored --nocapture
@@ -19,11 +19,20 @@
 //!   concurrent clients, client-side per-request latencies recorded
 //!   for p50/p99.
 //!
+//! - **exact-hit open** — a second daemon with an artifact store and
+//!   a chain-48 prelude: the `open` round trip of a tenant whose
+//!   artifact is already in the store, paired with the same ladder run
+//!   in process (`parse_program` + `Prelude::from_wrapped` +
+//!   `load_or_build` on the same store).
+//!
 //! Acceptance bars pin the daemon's reason to exist: warm resident
 //! throughput must be ≥ 3x cold-per-request (the tenant genuinely
-//! amortizes the prelude), and at soak concurrency p99 must stay
-//! ≤ 5x p50 (the admission queue bounds latency spread rather than
-//! letting stragglers pile up).
+//! amortizes the prelude), at soak concurrency p99 must stay ≤ 5x
+//! p50 (the admission queue bounds latency spread rather than letting
+//! stragglers pile up), and an exact-hit open must cost at most 2x
+//! the in-process ladder (median of interleaved pair ratios): the
+//! service adds framing and a thread, not work that grows with the
+//! prelude.
 //!
 //! Also writes the `b17` section of the repo-root `BENCH_vm.json`
 //! artifact for CI upload.
@@ -31,6 +40,9 @@
 use std::time::Instant;
 
 use implicit_bench::report::{detected_parallelism, write_section, BenchRow};
+use implicit_core::parse::parse_program;
+use implicit_core::syntax::Declarations;
+use implicit_pipeline::artifact::{load_or_build, ArtifactStore, LoadOutcome};
 use implicit_pipeline::service::{prelude_source, Client, Daemon, DaemonConfig};
 use implicit_pipeline::{Backend, Prelude};
 
@@ -39,6 +51,12 @@ const COLD_REQUESTS: usize = 24;
 const WARM_REQUESTS: usize = 600;
 const SOAK_CLIENTS: usize = 4;
 const QUERY: &str = "?(Int * Int)";
+/// Chain depth of the exact-hit open leg (the `ide_daemon` benchmark
+/// workload's compile tenant).
+const OPEN_DEPTH: usize = 48;
+/// Interleaved daemon/in-process pairs behind the exact-hit open bar
+/// (odd, so the median is one pair's ratio).
+const OPEN_PAIRS: usize = 7;
 
 /// Per-request work for the warm legs: evaluate the chain query and
 /// fold the reply into a checksum so the measurement cannot be
@@ -46,6 +64,80 @@ const QUERY: &str = "?(Int * Int)";
 fn checked_eval(client: &mut Client, tenant: &str) -> u64 {
     let (value, ty) = client.eval(tenant, QUERY).expect("warm eval");
     (value.len() + ty.len()) as u64
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// The exact-hit open leg: median seconds of the daemon `open` round
+/// trip, median seconds of the in-process ladder, and the median of
+/// the per-pair `daemon / in-process` ratios. The store is warmed by
+/// one untimed open/close; each pair alternates which half runs
+/// first, and the daemon's `close` (which flushes the artifact) stays
+/// outside the timed region.
+fn exact_hit_open() -> (f64, f64, f64) {
+    let dir = std::env::temp_dir().join(format!("implicit-b17-open-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = DaemonConfig {
+        cache_dir: Some(dir.clone()),
+        ..DaemonConfig::default()
+    };
+    let (policy, fusion, dict_ic) = (config.policy.clone(), config.fusion, config.dict_ic);
+    let d = Daemon::start(config).expect("daemon starts");
+    let mut c = Client::connect(d.addr()).unwrap();
+    let prelude = prelude_source(&Prelude::chain(OPEN_DEPTH));
+    let store = ArtifactStore::new(&dir).unwrap();
+    let isa = Backend::Vm.isa().unwrap_or_default();
+
+    let daemon_open = |c: &mut Client, tenant: &str| {
+        let t0 = Instant::now();
+        let load = c.open_prelude(tenant, &prelude, Backend::Vm).unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        c.close(tenant).unwrap();
+        (load, secs)
+    };
+    let in_process = || {
+        let t0 = Instant::now();
+        let (decls, wrapped) = parse_program(&prelude).unwrap();
+        let decls = if decls.is_empty() {
+            Declarations::new()
+        } else {
+            decls
+        };
+        let p = Prelude::from_wrapped(&wrapped).unwrap();
+        let (session, outcome) =
+            load_or_build(&store, &decls, &policy, &p, fusion, dict_ic, isa).unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        drop(session);
+        assert!(
+            matches!(outcome, LoadOutcome::Exact),
+            "in-process exact hit"
+        );
+        secs
+    };
+
+    assert_eq!(daemon_open(&mut c, "warmup").0, "cold");
+    let (mut ds, mut ps, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..OPEN_PAIRS {
+        let tenant = format!("open-{i}");
+        let ((load, d_s), p_s) = if i % 2 == 0 {
+            let d = daemon_open(&mut c, &tenant);
+            (d, in_process())
+        } else {
+            let p = in_process();
+            (daemon_open(&mut c, &tenant), p)
+        };
+        assert_eq!(load, "exact", "daemon open {i} is an exact hit");
+        ds.push(d_s);
+        ps.push(p_s);
+        ratios.push(d_s / p_s);
+    }
+    drop(c);
+    drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
+    (median(ds), median(ps), median(ratios))
 }
 
 #[test]
@@ -116,6 +208,8 @@ fn daemon_table() {
     let p50 = latencies_us[soak_total / 2];
     let p99 = latencies_us[(soak_total * 99 / 100).min(soak_total - 1)];
 
+    let (open_s, ladder_s, open_ratio) = exact_hit_open();
+
     // Every leg computed the same per-request answer.
     let per_request = cold_checksum / COLD_REQUESTS as u64;
     assert_eq!(
@@ -146,6 +240,13 @@ fn daemon_table() {
         p99 as f64 / 1e3
     );
     println!();
+    println!(
+        "Exact-hit open, chain depth {OPEN_DEPTH}: daemon `open` round trip {:.2} ms, \
+         in-process ladder {:.2} ms (medians); median of {OPEN_PAIRS} pair ratios {open_ratio:.2}x",
+        open_s * 1e3,
+        ladder_s * 1e3
+    );
+    println!();
 
     let rows = vec![
         BenchRow::single(
@@ -168,6 +269,15 @@ fn daemon_table() {
             speedup: soak_rps / cold_rps,
             checksum: p50, // p50 rides along in the checksum slot
         },
+        // Speedup is against the in-process ladder (the median pair
+        // ratio, inverted); the prelude's byte length rides along in
+        // the checksum slot.
+        BenchRow::single(
+            "daemon exact-hit open",
+            open_s * 1e3,
+            1.0 / open_ratio,
+            prelude_source(&Prelude::chain(OPEN_DEPTH)).len() as u64,
+        ),
     ];
     let path = write_section("b17", &rows);
     println!("wrote {}", path.display());
@@ -184,6 +294,11 @@ fn daemon_table() {
         p99 <= 5 * p50.max(1),
         "p99 {p99} µs is more than 5x p50 {p50} µs at {SOAK_CLIENTS}-client soak — \
          the admission queue is not bounding latency spread"
+    );
+    assert!(
+        open_ratio <= 2.0,
+        "an exact-hit daemon open costs {open_ratio:.2}x the in-process load ladder \
+         (median of {OPEN_PAIRS} pairs) — above the 2x bar"
     );
 
     drop(d);

@@ -583,24 +583,6 @@ impl TraceSink for ChromeSink {
     }
 }
 
-/// Escapes a string for a JSON literal (mirrors the conformance
-/// report's writer; kept local so `implicit-core` stays dep-free).
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders timestamped rows as a Chrome trace-event JSON document
 /// (the `{"traceEvents": […]}` object format understood by
 /// `about:tracing` and Perfetto).
@@ -638,11 +620,7 @@ pub fn chrome_trace_json(rows: &[ChromeRow]) -> String {
                 }
                 let _ = write!(out, "\"{k}\":");
                 match v {
-                    ArgValue::Text(s) => {
-                        out.push('"');
-                        escape_json(s, &mut out);
-                        out.push('"');
-                    }
+                    ArgValue::Text(s) => crate::json::write_string(&mut out, s),
                     ArgValue::Num(n) => {
                         let _ = write!(out, "{n}");
                     }

@@ -1110,6 +1110,15 @@ impl ArtifactStore {
     /// best-effort: a failed save never fails the build).
     pub fn save(&self, key: u64, config: u64, bytes: &[u8]) -> io::Result<()> {
         atomic_write(&self.content_path(key), bytes)?;
+        self.set_head(config, key)
+    }
+
+    /// Atomically points `config`'s head at `key`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures.
+    pub fn set_head(&self, config: u64, key: u64) -> io::Result<()> {
         atomic_write(&self.head_path(config), format!("{key:016x}\n").as_bytes())
     }
 }
@@ -1168,7 +1177,11 @@ pub fn load_or_build<'d>(
         match Session::from_artifact(decls, policy, prelude, fusion, dict_ic, isa, &bytes) {
             Ok(mut s) => {
                 s.note_artifact_fallbacks(fallbacks);
-                let _ = store.save(key, config, &bytes);
+                // The content file was just loaded and verified: only
+                // a stale head needs writing.
+                if store.head(config) != Some(key) {
+                    let _ = store.set_head(config, key);
+                }
                 return Ok((s, LoadOutcome::Exact));
             }
             Err(_) => fallbacks += 1,

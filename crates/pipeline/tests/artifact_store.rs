@@ -292,6 +292,52 @@ fn wrong_configuration_never_rehydrates() {
     );
 }
 
+/// An exact hit writes nothing it just verified: the content file
+/// keeps its inode, and the head pointer is rewritten only when it
+/// names a different key.
+#[cfg(unix)]
+#[test]
+fn exact_hit_rewrites_only_a_stale_head() {
+    use std::os::unix::fs::MetadataExt;
+    let ino = |p: &std::path::Path| std::fs::metadata(p).expect("file exists").ino();
+    let dir = tmpdir("exact-head");
+    let store = ArtifactStore::new(&dir).unwrap();
+    let decls = Declarations::default();
+    let policy = ResolutionPolicy::paper();
+    let (a, b) = (lets_chain(3, 5, 2), lets_chain(3, 6, 2));
+    let isa = Isa::Register;
+    let key_a = artifact_key(&decls, &a, &policy, true, false, isa);
+    let key_b = artifact_key(&decls, &b, &policy, true, false, isa);
+    let config = config_key(&decls, &policy, true, false, isa);
+    let head_path = dir.join(format!("{config:016x}.head"));
+    let load = |p: &Prelude| {
+        artifact::load_or_build(&store, &decls, &policy, p, true, false, isa)
+            .unwrap()
+            .1
+    };
+
+    assert!(matches!(load(&a), LoadOutcome::Cold));
+    let content_a = ino(&store.content_path(key_a));
+    let head = ino(&head_path);
+    assert!(matches!(load(&a), LoadOutcome::Exact));
+    assert_eq!(ino(&store.content_path(key_a)), content_a);
+    assert_eq!(ino(&head_path), head, "a current head is not rewritten");
+    assert_eq!(store.head(config), Some(key_a));
+
+    // Move the head to `b` (an incremental rebuild saves as before),
+    // then hit `a` exactly: only the head changes.
+    assert!(matches!(load(&b), LoadOutcome::Incremental(_)));
+    assert_eq!(store.head(config), Some(key_b));
+    assert!(matches!(load(&a), LoadOutcome::Exact));
+    assert_eq!(ino(&store.content_path(key_a)), content_a);
+    assert_eq!(
+        store.head(config),
+        Some(key_a),
+        "a stale head names the hit"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn incremental_rebuild_artifact_covers_rebuild_minted_gensyms() {
     let decls = Declarations::default();

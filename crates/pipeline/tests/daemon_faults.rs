@@ -332,3 +332,62 @@ fn poisoned_program_never_panics_the_daemon_even_under_repeats() {
     assert!(counter(&mut c, "panics") >= 8);
     let _ = error_json("smoke", "error_json is exported for harnesses");
 }
+
+/// A `parse` frame and an `open` frame just under `MAX_FRAME`, each
+/// carrying one long non-ASCII string, are decoded in time linear in
+/// the frame: each gets its structured error reply within seconds,
+/// the connection keeps serving, and the counters account for both.
+#[test]
+fn frames_just_under_max_frame_of_non_ascii_text_are_answered_promptly() {
+    let d = daemon(false);
+    let mut c = Client::connect(d.addr()).unwrap();
+    let counters = |c: &mut Client| {
+        let m = c.metrics().expect("metrics");
+        let d = m.get("daemon").expect("daemon counters");
+        (
+            d.int_field("requests").unwrap(),
+            d.int_field("errors").unwrap(),
+        )
+    };
+    let (requests, errors) = counters(&mut c);
+
+    for (op, field, kind) in [
+        ("parse", "program", "parse_error"),
+        ("open", "prelude", "open_failed"),
+    ] {
+        let frame = |text: String| {
+            Json::obj(vec![
+                ("op", Json::Str(op.into())),
+                ("tenant", Json::Str("big".into())),
+                (field, Json::Str(text)),
+            ])
+            .render()
+        };
+        let envelope = frame(String::new()).len();
+        let text = "é€ж".repeat((MAX_FRAME - envelope) / "é€ж".len());
+        let payload = frame(text);
+        assert!(payload.len() <= MAX_FRAME && payload.len() > MAX_FRAME - 16);
+
+        let t = std::time::Instant::now();
+        implicit_pipeline::service::write_frame(c.stream(), payload.as_bytes()).unwrap();
+        let resp = read_response(c.stream());
+        let took = t.elapsed();
+        assert_eq!(
+            resp.str_field("error"),
+            Some(kind),
+            "{op}: {}",
+            resp.render()
+        );
+        assert!(
+            took.as_secs_f64() < 5.0,
+            "{op}: a {} byte frame took {took:?} to answer",
+            payload.len()
+        );
+    }
+
+    // Same connection: still in sync and serving.
+    assert!(c.ping().unwrap());
+    // Both frames were well-framed requests that failed; the ping
+    // and this `metrics` read count as requests too.
+    assert_eq!(counters(&mut c), (requests + 4, errors + 2));
+}

@@ -7,7 +7,7 @@
 //!
 //! Checks, per file:
 //!
-//! - the file parses as JSON (the daemon protocol's parser,
+//! - the file parses as JSON (the workspace JSON parser,
 //!   [`parse_json`], which caps nesting depth, so no input can
 //!   overflow the stack);
 //! - the top level is an object with a `traceEvents` array (the
@@ -34,7 +34,7 @@
 
 use std::process::ExitCode;
 
-use implicit_pipeline::service::{parse_json, Json};
+use implicit_core::json::{parse_json, Json};
 
 /// `true` for a JSON number (integral or not).
 fn is_num(v: &Json) -> bool {
