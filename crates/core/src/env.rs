@@ -24,19 +24,26 @@
 //! The environment additionally owns a **memoized derivation cache**
 //! for full resolutions (consulted by [`crate::resolve`] when
 //! [`crate::resolve::ResolutionPolicy::cache`] is on). Entries are
-//! invalidated *scope-aware*: pushing a frame drops exactly the
-//! entries whose derivations looked up a head the new frame could
-//! shadow, and popping drops exactly the entries whose derivations
-//! used a rule from a popped frame.
+//! *validated on hit*: pushing a frame drops nothing, and a hit is
+//! valid iff no frame pushed since the entry was last validated
+//! admits a head the derivation looked up (the only way a new frame
+//! can change what a lookup finds). Popping drops exactly the entries
+//! whose derivations used a rule from a popped frame. So a program
+//! that pushes and pops its own scopes keeps every prelude-level
+//! derivation its scopes do not shadow.
+//!
+//! Frames also summarize their free type variables when pushed, so the
+//! TyRule rename-apart asks [`ImplicitEnv::binds_free`] per binder
+//! instead of collecting `ftv(Δ)`.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 use crate::intern::{self, GroundCheck, HeadKey, RuleId};
 use crate::resolve::Resolution;
 use crate::subst::{freshen_rule, TySubst};
-use crate::syntax::{RuleType, Type};
+use crate::syntax::{RuleType, TyVar, Type};
 use crate::unify;
 
 /// How lookup treats several matching rules within one frame.
@@ -116,7 +123,8 @@ impl fmt::Display for LookupError {
 impl std::error::Error for LookupError {}
 
 /// One environment frame: the stored rules plus a head-constructor
-/// index built when the frame is pushed.
+/// index and a free-type-variable summary, both built when the frame
+/// is pushed.
 ///
 /// `buckets[k]` holds the (ascending) indices of rules whose head has
 /// the non-wildcard key `k`; `wildcard` holds the indices of
@@ -126,23 +134,36 @@ struct Frame {
     rules: Vec<RuleType>,
     buckets: HashMap<HeadKey, Vec<usize>>,
     wildcard: Vec<usize>,
+    /// Free type variables of the frame's rules (empty for a closed
+    /// frame, which every prelude frame is).
+    ftv: BTreeSet<TyVar>,
 }
 
 impl Frame {
     fn new(rules: Vec<RuleType>) -> Frame {
         let mut buckets: HashMap<HeadKey, Vec<usize>> = HashMap::new();
         let mut wildcard = Vec::new();
+        let mut ftv = BTreeSet::new();
         for (ix, rule) in rules.iter().enumerate() {
             match intern::head_key(rule.head()) {
                 HeadKey::Wildcard => wildcard.push(ix),
                 key => buckets.entry(key).or_default().push(ix),
             }
+            rule.ftv_into(&mut ftv);
         }
         Frame {
             rules,
             buckets,
             wildcard,
+            ftv,
         }
+    }
+
+    /// Whether the index admits some rule of this frame for a target
+    /// with one of the given keys — whether pushing this frame can
+    /// change what a lookup of such a target finds.
+    fn admits_any(&self, target_keys: &[HeadKey]) -> bool {
+        !self.wildcard.is_empty() || target_keys.iter().any(|t| !self.specific(*t).is_empty())
     }
 
     fn specific(&self, target_key: HeadKey) -> &[usize] {
@@ -204,7 +225,7 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
-/// One memoized derivation plus the facts its invalidation needs.
+/// One memoized derivation plus the facts its validation needs.
 #[derive(Clone, Debug)]
 struct CacheEntry {
     resolution: Resolution,
@@ -213,13 +234,28 @@ struct CacheEntry {
     /// difference.
     cached_depth: usize,
     /// Head keys of every type the derivation looked up (dedup'd): a
-    /// pushed frame invalidates the entry iff it contains a rule that
-    /// could match one of these.
+    /// frame pushed since the last validation invalidates the entry
+    /// iff it contains a rule that could match one of these.
     target_keys: Vec<HeadKey>,
     /// Largest *absolute* frame position (0 = outermost) of any rule
     /// the derivation used: popping to a depth ≤ this position
     /// removes a used rule, invalidating the entry.
     max_abs_frame: usize,
+    /// Depth at the last validation (insertion, import or valid hit),
+    /// lowered by pops: the frames below it are exactly the ones the
+    /// entry was validated against, so a hit need only check the
+    /// frames at or above it.
+    anchor: usize,
+}
+
+impl CacheEntry {
+    /// Whether the derivation still holds under `frames`: no frame at
+    /// or above the anchor admits a head it looked up.
+    fn valid_under(&self, frames: &[Frame]) -> bool {
+        frames[self.anchor..]
+            .iter()
+            .all(|f| !f.admits_any(&self.target_keys))
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -258,6 +294,38 @@ impl DerivationCache {
             }
         }
     }
+
+    /// Inserts (or replaces) an entry, making room first when the key
+    /// is new.
+    fn insert(&mut self, key: (RuleId, OverlapPolicy), entry: CacheEntry) {
+        let new_key = !self.entries.contains_key(&key);
+        if new_key {
+            self.evict_to(self.capacity - 1);
+        }
+        self.entries.insert(key, entry);
+        if new_key {
+            self.enqueue(key);
+        }
+    }
+
+    /// Records a newly inserted key in the FIFO queue. A key dropped
+    /// and inserted again leaves its old position behind, so once the
+    /// queue outgrows twice the live population it is compacted to
+    /// each live key's latest position (amortized constant time).
+    fn enqueue(&mut self, key: (RuleId, OverlapPolicy)) {
+        self.order.push_back(key);
+        if self.order.len() > self.entries.len().saturating_mul(2).max(64) {
+            let mut seen = std::collections::HashSet::new();
+            let mut kept: Vec<(RuleId, OverlapPolicy)> = Vec::with_capacity(self.entries.len());
+            for k in self.order.iter().rev() {
+                if self.entries.contains_key(k) && seen.insert(*k) {
+                    kept.push(*k);
+                }
+            }
+            kept.reverse();
+            self.order = kept.into();
+        }
+    }
 }
 
 /// The implicit environment Δ: a stack of contexts.
@@ -277,6 +345,10 @@ impl DerivationCache {
 pub struct ImplicitEnv {
     /// Outermost first; `frames.last()` is the nearest scope.
     frames: Vec<Frame>,
+    /// For every type variable free in some frame, the number of
+    /// frames it is free in (the union of the frames' summaries,
+    /// kept up to date by push and pop).
+    free: HashMap<TyVar, usize>,
     /// Memoized derivations (interior mutability: resolution works on
     /// `&ImplicitEnv`).
     cache: RefCell<DerivationCache>,
@@ -297,42 +369,41 @@ impl ImplicitEnv {
 
     /// Pushes a context as the new nearest frame.
     ///
-    /// Cached derivations that looked up a head the new frame could
-    /// shadow are invalidated; the rest stay valid (the new frame
-    /// cannot change what they resolved).
+    /// Cached derivations are left alone: a derivation the new frame
+    /// could shadow fails its validation at the next hit (see
+    /// [`ImplicitEnv::cache_lookup`]), and one it cannot shadow stays
+    /// valid.
     pub fn push(&mut self, frame: Vec<RuleType>) {
         let frame = Frame::new(frame);
-        {
-            let mut cache = self.cache.borrow_mut();
-            cache.generation += 1;
-            if !cache.entries.is_empty() {
-                if frame.wildcard.is_empty() {
-                    let keys: Vec<HeadKey> = frame.buckets.keys().copied().collect();
-                    cache.entries.retain(|_, e| {
-                        !e.target_keys
-                            .iter()
-                            .any(|t| keys.iter().any(|c| c.admits(*t)))
-                    });
-                } else {
-                    // A variable-headed rule can match any target.
-                    cache.entries.clear();
-                }
-            }
+        for v in &frame.ftv {
+            *self.free.entry(*v).or_insert(0) += 1;
         }
+        self.cache.borrow_mut().generation += 1;
         self.frames.push(frame);
     }
 
     /// Pops the nearest frame.
     ///
     /// Cached derivations that used a rule from the popped frame (or
-    /// from frames already gone) are invalidated; derivations that
-    /// only used surviving frames stay valid.
+    /// from frames already gone) are dropped; the others keep their
+    /// validation, lowered to the frames that remain.
     pub fn pop(&mut self) -> Option<Vec<RuleType>> {
         let frame = self.frames.pop()?;
+        for v in &frame.ftv {
+            if let Some(n) = self.free.get_mut(v) {
+                *n -= 1;
+                if *n == 0 {
+                    self.free.remove(v);
+                }
+            }
+        }
         let new_depth = self.frames.len();
         let mut cache = self.cache.borrow_mut();
         cache.generation += 1;
-        cache.entries.retain(|_, e| e.max_abs_frame < new_depth);
+        cache.entries.retain(|_, e| {
+            e.anchor = e.anchor.min(new_depth);
+            e.max_abs_frame < new_depth
+        });
         drop(cache);
         Some(frame.rules)
     }
@@ -352,15 +423,11 @@ impl ImplicitEnv {
             .map(|(i, f)| (i, &f.rules))
     }
 
-    /// Free type variables of every rule in the environment.
-    pub fn ftv(&self) -> std::collections::BTreeSet<crate::syntax::TyVar> {
-        let mut acc = std::collections::BTreeSet::new();
-        for f in &self.frames {
-            for r in &f.rules {
-                r.ftv_into(&mut acc);
-            }
-        }
-        acc
+    /// Whether `v` is free in some rule of the environment (`v ∈
+    /// ftv(Δ)`). Constant time: frames summarize their free variables
+    /// when pushed.
+    pub fn binds_free(&self, v: TyVar) -> bool {
+        self.free.contains_key(&v)
     }
 
     /// The lookup judgment `Δ⟨τ⟩`.
@@ -438,7 +505,11 @@ impl ImplicitEnv {
 
     /// Consults the derivation cache for `query` under `policy`.
     ///
-    /// On a hit the memoized derivation is replayed with its
+    /// An entry is first validated against the frames pushed since its
+    /// anchor: if one of them admits a head the derivation looked up,
+    /// the entry is dropped and the consultation is a miss. A valid
+    /// entry's anchor rises to the current depth (the frames below are
+    /// now checked), and the memoized derivation is replayed with its
     /// innermost-first frame indices shifted by the difference
     /// between the current depth and the depth at insertion, so rule
     /// coordinates keep naming the same absolute frames.
@@ -450,21 +521,28 @@ impl ImplicitEnv {
         let key = (intern::rule_id(query), policy);
         let depth = self.frames.len();
         let mut cache = self.cache.borrow_mut();
-        match cache.entries.get(&key) {
-            Some(entry) => {
+        let hit = match cache.entries.get_mut(&key) {
+            Some(entry) if entry.valid_under(&self.frames) => {
+                entry.anchor = depth;
                 let delta = depth as isize - entry.cached_depth as isize;
                 let mut res = entry.resolution.clone();
                 if delta != 0 {
                     crate::resolve::shift_env_frames(&mut res, delta);
                 }
-                cache.counters.hits += 1;
                 Some(res)
             }
-            None => {
-                cache.counters.misses += 1;
+            Some(_) => {
+                cache.entries.remove(&key);
                 None
             }
+            None => None,
+        };
+        if hit.is_some() {
+            cache.counters.hits += 1;
+        } else {
+            cache.counters.misses += 1;
         }
+        hit
     }
 
     /// Memoizes a successful derivation of `query` at the current
@@ -489,18 +567,14 @@ impl ImplicitEnv {
             }
             cache.order.pop_front();
         }
-        if !cache.entries.contains_key(&key) {
-            let room = cache.capacity - 1;
-            cache.evict_to(room);
-            cache.order.push_back(key);
-        }
-        cache.entries.insert(
+        cache.insert(
             key,
             CacheEntry {
                 resolution: res.clone(),
                 cached_depth: depth,
                 target_keys,
                 max_abs_frame,
+                anchor: depth,
             },
         );
     }
@@ -510,7 +584,8 @@ impl ImplicitEnv {
         self.cache.borrow().counters
     }
 
-    /// Number of currently memoized derivations.
+    /// Number of currently memoized derivations, including entries a
+    /// pushed frame has made stale but no hit has validated yet.
     pub fn cache_len(&self) -> usize {
         self.cache.borrow().entries.len()
     }
@@ -552,10 +627,12 @@ impl ImplicitEnv {
     /// Exports the derivation cache for the artifact store, oldest
     /// entry first (so an import replays the FIFO order).
     ///
-    /// Only entries that are stable under the given intern watermark
-    /// *and* whose derivation uses no frame at or beyond the current
-    /// depth are exported: those are exactly the entries that remain
-    /// valid for a rehydrated session sitting at this depth.
+    /// Only entries that are stable under the given intern watermark,
+    /// whose derivation uses no frame at or beyond the current depth,
+    /// *and* that validate against the current frames are exported:
+    /// those are exactly the entries that hit for a rehydrated session
+    /// sitting at this depth, so an artifact never carries a stale
+    /// derivation.
     pub fn export_cache(&self, snap: &crate::intern::InternSnapshot) -> Vec<CacheExport> {
         let cache = self.cache.borrow();
         let depth = self.frames.len();
@@ -568,7 +645,8 @@ impl ImplicitEnv {
             let Some(e) = cache.entries.get(key) else {
                 continue;
             };
-            if !snap.covers_rule(key.0) || e.max_abs_frame >= depth {
+            if !snap.covers_rule(key.0) || e.max_abs_frame >= depth || !e.valid_under(&self.frames)
+            {
                 continue;
             }
             let Some(query) = intern::rule_of(key.0) else {
@@ -588,10 +666,12 @@ impl ImplicitEnv {
     /// Imports derivation-cache entries exported by
     /// [`ImplicitEnv::export_cache`], preserving their insertion
     /// order and original depths (hits replay through the usual
-    /// depth-shift). Entries whose invalidation facts cannot be
+    /// depth-shift). Entries whose validation facts cannot be
     /// recomputed, or that reference a frame at or beyond the current
     /// depth, are skipped — the cache only ever under-approximates.
-    /// Counters and the generation stamp are untouched.
+    /// The rest are anchored at the current depth: the exporter
+    /// validated them against the same frames. Counters and the
+    /// generation stamp are untouched.
     pub fn import_cache(&self, entries: Vec<CacheExport>) {
         let depth = self.frames.len();
         let mut cache = self.cache.borrow_mut();
@@ -608,18 +688,14 @@ impl ImplicitEnv {
                 continue;
             }
             let key = (intern::rule_id(&ce.query), ce.overlap);
-            if !cache.entries.contains_key(&key) {
-                let room = cache.capacity - 1;
-                cache.evict_to(room);
-                cache.order.push_back(key);
-            }
-            cache.entries.insert(
+            cache.insert(
                 key,
                 CacheEntry {
                     resolution: ce.resolution,
                     cached_depth: ce.cached_depth,
                     target_keys,
                     max_abs_frame,
+                    anchor: depth,
                 },
             );
         }
@@ -634,7 +710,7 @@ impl ImplicitEnv {
     }
 
     /// Pops frames until the stack is back at `snap`'s depth, running
-    /// the usual scope-aware cache invalidation per pop. A snapshot
+    /// the usual cache bookkeeping per pop. A snapshot
     /// deeper than the current stack is a no-op (the frames it
     /// described are already gone).
     ///
@@ -1043,6 +1119,30 @@ mod tests {
 
         env.retain_cache(|_| false);
         assert_eq!(env.cache_len(), 0);
+    }
+
+    #[test]
+    fn re_derived_entries_do_not_grow_the_eviction_queue() {
+        use crate::resolve::{resolve, ResolutionPolicy};
+
+        // `Int` is memoized first and never shadowed, so it stays at
+        // the front of the FIFO queue; `[Int]` is dropped by every
+        // validation under the List-headed frame and inserted again.
+        let mut env = ImplicitEnv::new();
+        env.push(vec![
+            Type::Int.promote(),
+            RuleType::mono(vec![Type::Int.promote()], Type::list(Type::Int)),
+        ]);
+        let policy = ResolutionPolicy::paper();
+        let query = Type::list(Type::Int).promote();
+        resolve(&env, &query, &policy).unwrap();
+        for _ in 0..1000 {
+            env.push(vec![Type::list(Type::Bool).promote()]);
+            resolve(&env, &query, &policy).unwrap();
+            env.pop();
+        }
+        assert_eq!(env.cache_len(), 2);
+        assert!(env.cache.borrow().order.len() <= 64);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! | [`subst`] | Appendix "Substitutions" |
 //! | [`unify`] | Appendix "Unification" (one-way matching) |
 //! | [`env`](mod@env) | implicit environments Δ and lookup `Δ⟨τ⟩` |
+//! | [`gamma`] | term environments Γ with a summary of `ftv(Γ)` |
 //! | [`intern`](mod@intern) | hash-consed types (performance layer, no paper counterpart) |
 //! | [`json`] | the one JSON value, renderer and parser (wire/report layer, no paper counterpart) |
 //! | [`resolve`](mod@resolve) | the resolution judgment `Δ ⊢r ρ` (rule `TyRes`) |
@@ -59,6 +60,7 @@
 pub mod alpha;
 pub mod coherence;
 pub mod env;
+pub mod gamma;
 pub mod intern;
 pub mod json;
 pub mod logic;

@@ -449,7 +449,8 @@ fn resolve_rec<S: TraceSink + ?Sized>(
     // Memoization: resolution is deterministic and — without the
     // extension variant — never changes the environment mid-search,
     // so every (query, overlap policy) pair resolves the same way
-    // until a push/pop invalidates it. Sub-queries hit this path too,
+    // until a pushed frame shadows it or a pop removes a rule it used
+    // (see `ImplicitEnv::cache_lookup`). Sub-queries hit this path too,
     // so a cached derivation short-circuits whole subtrees.
     let use_cache = policy.cache && !policy.env_extension;
     if use_cache {

@@ -215,6 +215,20 @@ impl Type {
         }
     }
 
+    /// Whether `v` is free in the type (`v ∈ ftv(τ)`), decided without
+    /// building the set.
+    pub fn has_free(&self, v: TyVar) -> bool {
+        match self {
+            Type::Var(a) => *a == v,
+            Type::Int | Type::Bool | Type::Str | Type::Unit | Type::Ctor(_) => false,
+            Type::Arrow(a, b) | Type::Prod(a, b) => a.has_free(v) || b.has_free(v),
+            Type::List(a) => a.has_free(v),
+            Type::Con(_, args) => args.iter().any(|t| t.has_free(v)),
+            Type::VarApp(f, args) => *f == v || args.iter().any(|t| t.has_free(v)),
+            Type::Rule(r) => r.has_free(v),
+        }
+    }
+
     /// Structural size of the type (number of constructors).
     ///
     /// Used by the termination conditions of Appendix A, which compare
@@ -371,6 +385,13 @@ impl RuleType {
             inner.remove(v);
         }
         acc.extend(inner);
+    }
+
+    /// Whether `v` is free in the rule type (quantified variables are
+    /// bound), decided without building the set.
+    pub fn has_free(&self, v: TyVar) -> bool {
+        !self.vars.contains(&v)
+            && (self.head.has_free(v) || self.context.iter().any(|r| r.has_free(v)))
     }
 
     /// Structural size (used by termination checking).

@@ -16,6 +16,7 @@
 //! The remaining rules are the standard simply-typed rules for the
 //! host fragment. Rule types compare modulo α-equivalence throughout.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -423,37 +424,16 @@ impl<'d> Typechecker<'d> {
             Expr::RuleAbs(rho, body) => {
                 // TyRule. Binders clashing with ftv(Γ, Δ) or with
                 // type variables already in scope are renamed apart.
-                let used: BTreeSet<TyVar> = st
-                    .tyvars
-                    .iter()
-                    .copied()
-                    .chain(st.gamma.iter().flat_map(|(_, t)| t.ftv()))
-                    .chain(st.delta.ftv())
-                    .collect();
-                let needs_rename = rho.vars().iter().any(|v| used.contains(v));
-                let (rho, body) = if needs_rename {
-                    let mut sub = TySubst::new();
-                    let mut new_vars = Vec::new();
-                    for v in rho.vars() {
-                        if used.contains(v) {
-                            let nv = crate::symbol::fresh(crate::symbol::base_name(*v));
-                            sub.bind(*v, Type::Var(nv));
-                            new_vars.push(nv);
-                        } else {
-                            new_vars.push(*v);
-                        }
-                    }
-                    let renamed = RuleType::new(
-                        new_vars,
-                        sub.apply_context(rho.context()),
-                        sub.apply_type(rho.head()),
-                    );
-                    (renamed, sub.apply_expr(body))
-                } else {
-                    ((**rho).clone(), (**body).clone())
+                let no_base = BTreeSet::new();
+                let scope = BinderScope {
+                    tyvars: &st.tyvars,
+                    gamma_free: &no_base,
+                    gamma: &st.gamma,
+                    delta: &st.delta,
                 };
+                let (rho, body) = scope.rename_apart(rho, body);
                 if !rho.is_unambiguous() {
-                    return Err(TypeError::Ambiguous(rho.clone()));
+                    return Err(TypeError::Ambiguous(rho.into_owned()));
                 }
                 self.check_wf_rule_under(st, &rho)?;
                 if self.strict {
@@ -1191,6 +1171,68 @@ fn context_sets_equal(a: &[RuleType], b: &[RuleType]) -> bool {
     ka == kb
 }
 
+/// What the binders of a rule abstraction must be fresh for: TyRule's
+/// `ᾱ` fresh for `Γ, Δ` and for the type variables already in scope.
+///
+/// The type checker and the elaborator both rename binders apart
+/// through [`BinderScope::rename_apart`], so the two checks cannot
+/// drift. Γ comes in two parts: a base whose free variables are
+/// summarized once (a session's `let` types, see
+/// [`crate::gamma::Gamma`]) and the binders pushed on top of it, which
+/// are scanned per probe. Δ answers from its per-frame summaries
+/// ([`ImplicitEnv::binds_free`]), so no probe walks the prelude.
+pub struct BinderScope<'s> {
+    /// Type variables bound by enclosing rule abstractions.
+    pub tyvars: &'s BTreeSet<TyVar>,
+    /// Free type variables of Γ's base.
+    pub gamma_free: &'s BTreeSet<TyVar>,
+    /// Γ's binders above the base.
+    pub gamma: &'s [(Symbol, Type)],
+    /// The implicit environment Δ.
+    pub delta: &'s ImplicitEnv,
+}
+
+impl BinderScope<'_> {
+    /// Whether a binder named `v` would clash: `v` is in scope or
+    /// free in Γ or Δ.
+    pub fn binds(&self, v: TyVar) -> bool {
+        self.tyvars.contains(&v)
+            || self.gamma_free.contains(&v)
+            || self.delta.binds_free(v)
+            || self.gamma.iter().any(|(_, t)| t.has_free(v))
+    }
+
+    /// Renames the binders of `rule(rho)(body)` that clash to fresh
+    /// variables, in `rho` and in `body`. When none clashes, both come
+    /// back borrowed: nothing is copied.
+    pub fn rename_apart<'a>(
+        &self,
+        rho: &'a RuleType,
+        body: &'a Expr,
+    ) -> (Cow<'a, RuleType>, Cow<'a, Expr>) {
+        if !rho.vars().iter().any(|v| self.binds(*v)) {
+            return (Cow::Borrowed(rho), Cow::Borrowed(body));
+        }
+        let mut sub = TySubst::new();
+        let mut new_vars = Vec::new();
+        for v in rho.vars() {
+            if self.binds(*v) {
+                let nv = crate::symbol::fresh(crate::symbol::base_name(*v));
+                sub.bind(*v, Type::Var(nv));
+                new_vars.push(nv);
+            } else {
+                new_vars.push(*v);
+            }
+        }
+        let renamed = RuleType::new(
+            new_vars,
+            sub.apply_context(rho.context()),
+            sub.apply_type(rho.head()),
+        );
+        (Cow::Owned(renamed), Cow::Owned(sub.apply_expr(body)))
+    }
+}
+
 struct State {
     gamma: Vec<(Symbol, Type)>,
     delta: ImplicitEnv,
@@ -1332,6 +1374,60 @@ mod tests {
 
     fn int_query_plus_one() -> Expr {
         Expr::binop(BinOp::Add, Expr::query_simple(Type::Int), Expr::Int(1))
+    }
+
+    #[test]
+    fn binders_are_renamed_apart_from_every_part_of_the_scope() {
+        // rule(∀a b. {a} ⇒ a × b)(body): `a` clashes with whichever
+        // part of the scope mentions it, `b` never does.
+        let (a, b) = (v("ra_a"), v("ra_b"));
+        let rho = RuleType::new(
+            vec![a, b],
+            vec![Type::var(a).promote()],
+            Type::prod(Type::var(a), Type::var(b)),
+        );
+        let body = Expr::query_simple(Type::var(a));
+        let none = BTreeSet::new();
+        let with_a: BTreeSet<TyVar> = [a].into_iter().collect();
+        let empty_delta = ImplicitEnv::new();
+        let open_delta = ImplicitEnv::with_frame(vec![Type::list(Type::var(a)).promote()]);
+        let open_gamma = [(v("x"), Type::arrow(Type::var(a), Type::Int))];
+        let scopes = [
+            (&with_a, &none, &[][..], &empty_delta),
+            (&none, &with_a, &[][..], &empty_delta),
+            (&none, &none, &open_gamma[..], &empty_delta),
+            (&none, &none, &[][..], &open_delta),
+        ];
+        for (tyvars, gamma_free, gamma, delta) in scopes {
+            let scope = BinderScope {
+                tyvars,
+                gamma_free,
+                gamma,
+                delta,
+            };
+            assert!(scope.binds(a) && !scope.binds(b));
+            let (renamed, body) = scope.rename_apart(&rho, &body);
+            let (Cow::Owned(renamed), Cow::Owned(body)) = (renamed, body) else {
+                panic!("a clashing binder must be renamed");
+            };
+            let fresh_a = renamed.vars()[0];
+            assert_ne!(fresh_a, a);
+            assert_eq!(renamed.vars()[1], b);
+            assert!(alpha::alpha_eq(&renamed, &rho));
+            assert_eq!(body, Expr::query_simple(Type::var(fresh_a)));
+        }
+        // Nothing clashes: both come back borrowed.
+        let scope = BinderScope {
+            tyvars: &none,
+            gamma_free: &none,
+            gamma: &[],
+            delta: &empty_delta,
+        };
+        let (renamed, body) = scope.rename_apart(&rho, &body);
+        assert!(matches!(
+            (renamed, body),
+            (Cow::Borrowed(_), Cow::Borrowed(_))
+        ));
     }
 
     #[test]

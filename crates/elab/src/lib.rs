@@ -46,15 +46,16 @@ use std::rc::Rc;
 
 use implicit_core::alpha;
 use implicit_core::env::ImplicitEnv;
+use implicit_core::gamma::{free_ty_vars, Gamma};
 use implicit_core::intern::{self, InternSnapshot, RuleId};
 use implicit_core::resolve::{
     derivation_within, resolve, Premise, Resolution, ResolutionPolicy, RuleRef,
 };
 use implicit_core::subst::TySubst;
-use implicit_core::symbol::{base_name, fresh, Symbol};
+use implicit_core::symbol::{fresh, Symbol};
 use implicit_core::syntax::{Declarations, Expr, RuleType, TyVar, Type, UnOp};
 use implicit_core::trace::TraceEvent;
-use implicit_core::typeck::{types_equal, TypeError};
+use implicit_core::typeck::{types_equal, BinderScope, TypeError};
 use systemf::eval::{EvalError, Evaluator, Value};
 use systemf::syntax::{FDeclarations, FExpr, FInterfaceDecl, FType};
 use systemf::typeck::FTypeError;
@@ -302,6 +303,9 @@ pub struct Elaborator<'d> {
 /// elaborator meets on its way down go on the owned stacks above them.
 struct State<'a> {
     gamma_base: &'a [(Symbol, Type)],
+    /// Free type variables of `gamma_base`'s types, summarized by the
+    /// caller.
+    gamma_free: &'a BTreeSet<TyVar>,
     gamma: Vec<(Symbol, Type)>,
     /// Resolution environment (types only).
     delta: ImplicitEnv,
@@ -323,11 +327,6 @@ impl State<'_> {
             .chain(self.gamma_base.iter().rev())
             .find(|(y, _)| *y == x)
             .map(|(_, t)| t)
-    }
-
-    /// Every term binder's type, in no particular order.
-    fn gamma_types(&self) -> impl Iterator<Item = &Type> {
-        self.gamma_base.iter().chain(&self.gamma).map(|(_, t)| t)
     }
 
     /// Evidence variable for `RuleRef::Env { frame, index }` (frame
@@ -428,13 +427,16 @@ impl<'d> Elaborator<'d> {
     /// back with whatever its derivation cache learned, so a
     /// long-lived session reuses prelude-level derivations across
     /// programs (elaboration pushes and pops frames in a balanced
-    /// way, and the cache's scope-aware invalidation keeps entries
-    /// that only used surviving frames). `evidence` must be
+    /// way, and the cache keeps every entry that only used surviving
+    /// frames, validating it against newer frames on hit). `evidence` must be
     /// frame-aligned with `delta` (outermost first, entries in each
     /// frame's stored canonical context order): it supplies the
     /// System F evidence variable for every rule already in scope.
     /// `gamma` provides the types of free term variables (a prelude's
-    /// `let` bindings).
+    /// `let` bindings). Its free type variables are collected once per
+    /// call; a caller that keeps one term environment across calls
+    /// should hold it as a [`Gamma`] and use
+    /// [`Elaborator::elaborate_in`], which reads its summary instead.
     ///
     /// # Errors
     ///
@@ -451,6 +453,36 @@ impl<'d> Elaborator<'d> {
         gamma: &[(Symbol, Type)],
         e: &Expr,
     ) -> Result<(Type, FExpr), ElabError> {
+        let gamma_free = free_ty_vars(gamma);
+        self.elaborate_under(delta, evidence, gamma, &gamma_free, e)
+    }
+
+    /// [`Elaborator::elaborate_with_env`] under a term environment that
+    /// summarizes its own free type variables, so the rename-apart of
+    /// every rule abstraction probes that summary instead of walking
+    /// the environment.
+    ///
+    /// # Errors
+    ///
+    /// See [`Elaborator::elaborate`].
+    pub fn elaborate_in(
+        &self,
+        delta: &mut ImplicitEnv,
+        evidence: &[Vec<Symbol>],
+        gamma: &Gamma<Type>,
+        e: &Expr,
+    ) -> Result<(Type, FExpr), ElabError> {
+        self.elaborate_under(delta, evidence, gamma, gamma.free(), e)
+    }
+
+    fn elaborate_under(
+        &self,
+        delta: &mut ImplicitEnv,
+        evidence: &[Vec<Symbol>],
+        gamma: &[(Symbol, Type)],
+        gamma_free: &BTreeSet<TyVar>,
+        e: &Expr,
+    ) -> Result<(Type, FExpr), ElabError> {
         debug_assert_eq!(
             delta.depth(),
             evidence.len(),
@@ -458,6 +490,7 @@ impl<'d> Elaborator<'d> {
         );
         let mut st = State {
             gamma_base: gamma,
+            gamma_free,
             gamma: Vec::new(),
             delta: std::mem::take(delta),
             evidence_base: evidence,
@@ -556,40 +589,17 @@ impl<'d> Elaborator<'d> {
                 Ok((rho.to_type(), ev))
             }
             Expr::RuleAbs(rho, body) => {
-                // Rename binders apart from anything in scope, as in
-                // the type checker.
-                let used: BTreeSet<TyVar> = st
-                    .tyvars
-                    .iter()
-                    .copied()
-                    .chain(st.gamma_types().flat_map(Type::ftv))
-                    .chain(st.delta.ftv())
-                    .collect();
-                let (rho, body) = if rho.vars().iter().any(|v| used.contains(v)) {
-                    let mut sub = TySubst::new();
-                    let mut new_vars = Vec::new();
-                    for v in rho.vars() {
-                        if used.contains(v) {
-                            let nv = fresh(base_name(*v));
-                            sub.bind(*v, Type::Var(nv));
-                            new_vars.push(nv);
-                        } else {
-                            new_vars.push(*v);
-                        }
-                    }
-                    (
-                        RuleType::new(
-                            new_vars,
-                            sub.apply_context(rho.context()),
-                            sub.apply_type(rho.head()),
-                        ),
-                        sub.apply_expr(body),
-                    )
-                } else {
-                    ((**rho).clone(), (**body).clone())
+                // Rename binders apart from anything in scope, through
+                // the type checker's own probe.
+                let scope = BinderScope {
+                    tyvars: &st.tyvars,
+                    gamma_free: st.gamma_free,
+                    gamma: &st.gamma,
+                    delta: &st.delta,
                 };
+                let (rho, body) = scope.rename_apart(rho, body);
                 if !rho.is_unambiguous() {
-                    return Err(TypeError::Ambiguous(rho.clone()).into());
+                    return Err(TypeError::Ambiguous(rho.into_owned()).into());
                 }
                 // TrRule: Λᾱ. λ(x̄:|ρ̄|). E
                 let ev_vars: Vec<Symbol> = rho.context().iter().map(|_| fresh("ev")).collect();

@@ -40,6 +40,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use implicit_core::env::{CacheExport, ImplicitEnv};
+use implicit_core::gamma::Gamma;
 use implicit_core::intern;
 use implicit_core::resolve::ResolutionPolicy;
 use implicit_core::symbol::{ensure_fresh_at_least, fresh_watermark, Symbol};
@@ -741,7 +742,7 @@ pub fn assemble<'d>(
         fdecls,
         env,
         evidence: a.evidence,
-        gamma: a.gamma,
+        gamma: a.gamma.into_iter().collect(),
         context: a.context,
         fenv: a.fenv,
         fgamma,
@@ -864,8 +865,8 @@ pub fn rebuild_incremental<'d>(
     let pipeline_err = |e: SessionError| ArtifactError(format!("incremental rebuild: {e}"));
     let elab_err = |e: implicit_elab::ElabError| ArtifactError(format!("incremental rebuild: {e}"));
 
-    let mut gamma: Vec<(Symbol, Type)> = Vec::with_capacity(nlets);
-    let mut fgamma: Vec<(Symbol, FType)> = Vec::with_capacity(total);
+    let mut gamma: Gamma<Type> = Gamma::new();
+    let mut fgamma: Gamma<FType> = Gamma::new();
     let mut binding_meta: Vec<BindingMeta> = Vec::with_capacity(total);
     let mut fenv = FEnv::new();
     let mut venv = VarEnv::new();
@@ -887,7 +888,7 @@ pub fn rebuild_incremental<'d>(
         } else {
             let mut scratch = ImplicitEnv::new();
             let (got, fb) = elab
-                .elaborate_with_env(&mut scratch, &[], &gamma, bound)
+                .elaborate_in(&mut scratch, &[], &gamma, bound)
                 .map_err(elab_err)?;
             if !intern::types_equal(&got, ty) {
                 return err(format!("let `{x}` declared `{ty}` but edited to `{got}`"));
@@ -943,7 +944,7 @@ pub fn rebuild_incremental<'d>(
                 first_dirty_implicit = Some(j);
             }
             let (got, ea) = elab
-                .elaborate_with_env(&mut env, &evidence, &gamma, arg)
+                .elaborate_in(&mut env, &evidence, &gamma, arg)
                 .map_err(elab_err)?;
             let want = arho.to_type();
             if !intern::types_equal(&got, &want) {

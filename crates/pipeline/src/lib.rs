@@ -7,9 +7,10 @@
 //! snapshot:
 //!
 //! * the prelude's [`ImplicitEnv`] frame and its **derivation cache**
-//!   survive across programs (scope-aware invalidation only discards
-//!   entries that depended on the program's own, deeper frames), so
-//!   prelude-level queries are cache hits from the second program on;
+//!   survive across programs (entries are validated on hit, and a pop
+//!   only discards entries that depended on the program's own, deeper
+//!   frames), so prelude-level queries are cache hits from the second
+//!   program on, whatever scopes the programs in between pushed;
 //! * the elaborated prelude evidence is evaluated once and re-bound
 //!   from a persistent System F environment instead of re-elaborated
 //!   and re-evaluated per program;
@@ -44,6 +45,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use implicit_core::env::{CacheCounters, EnvSnapshot, ImplicitEnv};
+use implicit_core::gamma::Gamma;
 use implicit_core::intern::{self, InternSnapshot};
 use implicit_core::resolve::ResolutionPolicy;
 use implicit_core::symbol::{fresh, fresh_watermark};
@@ -312,8 +314,9 @@ pub struct Session<'d> {
     env: ImplicitEnv,
     /// Evidence variable frames aligned with `env`'s frames.
     evidence: Vec<Vec<Symbol>>,
-    /// Prelude `let` bindings, in scope for every program.
-    gamma: Vec<(Symbol, Type)>,
+    /// Prelude `let` bindings, in scope for every program, with the
+    /// free type variables of their types summarized once.
+    gamma: Gamma<Type>,
     /// The prelude's implicit context in canonical (binder) order.
     context: Vec<RuleType>,
     /// System F environment binding `gamma` names and evidence vars.
@@ -321,8 +324,9 @@ pub struct Session<'d> {
     /// System F *typing* environment every program's preservation
     /// check runs under: each `let` at its translated type, then each
     /// evidence variable at its translated rule type, then each
-    /// promoted dictionary global (see [`Session::dict_binders`]).
-    fgamma: Vec<(Symbol, FType)>,
+    /// promoted dictionary global (see [`Session::dict_binders`]). Its
+    /// free-type-variable summary grows with it, one binding at a time.
+    fgamma: Gamma<FType>,
     /// Compiled backend: prelude bindings compiled once, their values
     /// in `vm_globals` (parallel to the compiler's global table);
     /// per-program code is an extension rolled back to `code_base`.
@@ -406,18 +410,18 @@ impl<'d> Session<'d> {
 
         // `let` bindings: each elaborates under the earlier ones and
         // is evaluated once in both semantics.
-        let mut gamma: Vec<(Symbol, Type)> = Vec::with_capacity(prelude.lets.len());
+        let mut gamma: Gamma<Type> = Gamma::new();
         let mut binding_meta: Vec<artifact::BindingMeta> = Vec::new();
         let mut fenv = FEnv::new();
         let mut venv = VarEnv::new();
-        let mut fgamma: Vec<(Symbol, FType)> = Vec::new();
+        let mut fgamma: Gamma<FType> = Gamma::new();
         let mut compiler = Compiler::new();
         compiler.set_fusion(fusion);
         let mut vm_globals: Vec<systemf::Value> = Vec::new();
         for (x, ty, bound) in &prelude.lets {
             let mut scratch = ImplicitEnv::new();
             let (got, fb) = elab
-                .elaborate_with_env(&mut scratch, &[], &gamma, bound)
+                .elaborate_in(&mut scratch, &[], &gamma, bound)
                 .map_err(|e| SessionError::Run(RunError::Elab(e)))?;
             if !intern::types_equal(&got, ty) {
                 return Err(SessionError::Prelude(format!(
@@ -461,7 +465,7 @@ impl<'d> Session<'d> {
         let mut istack = ImplStack::new();
         for (arg, arho) in &prelude.implicits {
             let (got, ea) = elab
-                .elaborate_with_env(&mut env, &evidence, &gamma, arg)
+                .elaborate_in(&mut env, &evidence, &gamma, arg)
                 .map_err(|e| SessionError::Run(RunError::Elab(e)))?;
             let want = arho.to_type();
             if !intern::types_equal(&got, &want) {
@@ -782,9 +786,9 @@ impl<'d> Session<'d> {
         self.emit(TraceEvent::PhaseStart {
             phase: Phase::Elaborate,
         });
-        let elaborated =
-            self.elab
-                .elaborate_with_env(&mut self.env, &self.evidence, &self.gamma, e);
+        let elaborated = self
+            .elab
+            .elaborate_in(&mut self.env, &self.evidence, &self.gamma, e);
         self.emit(TraceEvent::PhaseEnd {
             phase: Phase::Elaborate,
         });
@@ -1080,7 +1084,7 @@ fn compile_error_to_eval(e: CompileError) -> systemf::EvalError {
 /// before it.
 fn check_binding(
     fdecls: &FDeclarations,
-    fgamma: &[(Symbol, FType)],
+    fgamma: &Gamma<FType>,
     fe: &FExpr,
 ) -> Result<(), SessionError> {
     typecheck_open(fdecls, fgamma, fe)
@@ -1095,7 +1099,7 @@ fn prelude_fgamma(
     gamma: &[(Symbol, Type)],
     evidence: &[Vec<Symbol>],
     context: &[RuleType],
-) -> Vec<(Symbol, FType)> {
+) -> Gamma<FType> {
     gamma
         .iter()
         .map(|(x, ty)| (*x, translate_type(ty)))
@@ -1201,6 +1205,33 @@ mod tests {
                 "prelude-level queries must be cache hits on the 2nd program \
                  (first {after_first:?}, second {after_second:?})"
             );
+        });
+    }
+
+    #[test]
+    fn prelude_derivations_survive_a_program_with_a_variable_headed_frame() {
+        with_big_stack(|| {
+            let decls = Declarations::default();
+            let prelude = Prelude::chain(48);
+            let mut sess = Session::new(&decls, ResolutionPolicy::paper(), &prelude).unwrap();
+            sess.run_compiled(&chain_query_program(48, 0)).unwrap();
+            // `rule(∀a. {a} ⇒ a)(?a)` pushes the variable-headed frame
+            // `{a}`, which could shadow any query made inside it.
+            let a = Symbol::intern("a");
+            let rho = RuleType::new(vec![a], vec![Type::var(a).promote()], Type::var(a));
+            let id = Expr::rule_abs(rho, Expr::query_simple(Type::var(a)));
+            let e = Expr::with(
+                Expr::TyApp(Rc::new(id), vec![Type::Int]),
+                vec![(Expr::Int(7), Type::Int.promote())],
+            );
+            assert_eq!(sess.run_compiled(&e).unwrap().value.to_string(), "7");
+            // The frame is gone again, so `?T_48` is still a hit.
+            let before = sess.cache_counters();
+            let out = sess.run_compiled(&chain_query_program(48, 1)).unwrap();
+            assert_eq!(out.value.to_string(), "49");
+            let after = sess.cache_counters();
+            assert_eq!(after.misses, before.misses);
+            assert_eq!(after.hits, before.hits + 1);
         });
     }
 

@@ -4,7 +4,7 @@
 //! precision (a one-binding edit invalidates exactly its dependency
 //! cone).
 
-use implicit_core::resolve::ResolutionPolicy;
+use implicit_core::resolve::{resolve, ResolutionPolicy};
 use implicit_core::symbol::Symbol;
 use implicit_core::syntax::{BinOp, Declarations, Expr, Type};
 use implicit_pipeline::artifact::{self, artifact_key, config_key, ArtifactStore, LoadOutcome};
@@ -532,4 +532,56 @@ fn incremental_rebuild_invalidates_exactly_the_dependency_cone() {
     );
     assert_eq!(sess.metrics().artifact_fallbacks, 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An artifact carries only derivations that hold for the session it
+/// rehydrates. Building this prelude memoizes `?Int` against the first
+/// implicit frame, and a later `Int` binding shadows it: that entry
+/// stays behind, while every entry that is exported is a hit after
+/// `from_artifact`, with the derivation the uncached resolver builds.
+#[test]
+fn every_exported_cache_entry_hits_after_rehydration() {
+    let decls = Declarations::default();
+    let mut prelude = lets_chain(4, 10, 1);
+    prelude
+        .implicits
+        .push((Expr::Int(100), Type::Int.promote()));
+    let policy = ResolutionPolicy::paper();
+    let mut builder = Session::new(&decls, policy.clone(), &prelude).unwrap();
+    builder.run_compiled(&probe()).unwrap();
+    let memoized = builder.env().cache_len();
+    let bytes = builder.to_artifact();
+    let exported = builder
+        .env()
+        .export_cache(&implicit_core::intern::snapshot());
+    assert!(!exported.is_empty());
+    assert!(
+        exported.iter().all(|e| e.query != Type::Int.promote()),
+        "the shadowed `?Int` derivation must not be exported"
+    );
+    assert!(memoized > exported.len(), "{memoized} memoized");
+
+    let mut back = Session::from_artifact(
+        &decls,
+        &policy,
+        &prelude,
+        true,
+        false,
+        Isa::Register,
+        &bytes,
+    )
+    .unwrap();
+    let env = back.env();
+    assert_eq!(env.cache_len(), exported.len());
+    for entry in &exported {
+        let before = env.cache_counters();
+        let res = resolve(env, &entry.query, &policy).unwrap();
+        let after = env.cache_counters();
+        assert_eq!(after.hits, before.hits + 1, "{}", entry.query);
+        assert_eq!(after.misses, before.misses, "{}", entry.query);
+        let uncached = resolve(env, &entry.query, &policy.clone().without_cache());
+        assert_eq!(res, uncached.unwrap());
+    }
+    let shadowed = back.run_compiled(&Expr::query_simple(Type::Int)).unwrap();
+    assert_eq!(shadowed.value.to_string(), "100");
 }

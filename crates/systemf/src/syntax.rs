@@ -13,6 +13,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
+use implicit_core::gamma::FreeTyVars;
 use implicit_core::symbol::{base_name, fresh, Symbol};
 pub use implicit_core::syntax::{BinOp, UnOp};
 
@@ -109,6 +110,20 @@ impl FType {
                 inner.remove(v);
                 acc.extend(inner);
             }
+        }
+    }
+
+    /// Whether `v` is free in the type, decided without building the
+    /// set.
+    pub fn has_free(&self, v: Symbol) -> bool {
+        match self {
+            FType::Var(a) => *a == v,
+            FType::Int | FType::Bool | FType::Str | FType::Unit | FType::Ctor(_) => false,
+            FType::Arrow(a, b) | FType::Prod(a, b) => a.has_free(v) || b.has_free(v),
+            FType::List(a) => a.has_free(v),
+            FType::Con(_, args) => args.iter().any(|t| t.has_free(v)),
+            FType::VarApp(f, args) => *f == v || args.iter().any(|t| t.has_free(v)),
+            FType::Forall(a, b) => *a != v && b.has_free(v),
         }
     }
 
@@ -431,6 +446,12 @@ impl FDeclarations {
         self.datas
             .iter()
             .find(|d| d.ctors.iter().any(|(c, _)| *c == ctor))
+    }
+}
+
+impl FreeTyVars for FType {
+    fn free_ty_vars_into(&self, acc: &mut BTreeSet<Symbol>) {
+        self.ftv_into(acc);
     }
 }
 

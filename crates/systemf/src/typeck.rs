@@ -3,6 +3,7 @@
 
 use std::fmt;
 
+use implicit_core::gamma::Gamma;
 use implicit_core::symbol::Symbol;
 
 use crate::syntax::{BinOp, FDeclarations, FExpr, FType, UnOp};
@@ -123,17 +124,21 @@ impl std::error::Error for FTypeError {}
 ///
 /// Returns the first [`FTypeError`] encountered.
 pub fn typecheck(decls: &FDeclarations, e: &FExpr) -> Result<FType, FTypeError> {
-    typecheck_open(decls, &[], e)
+    typecheck_open(decls, &Gamma::new(), e)
 }
 
 /// Type-checks an expression under an initial term environment.
+///
+/// The environment carries the free type variables of its binders'
+/// types ([`Gamma`]), so the TAbs side condition costs one probe of
+/// that summary, however large the environment is.
 ///
 /// # Errors
 ///
 /// Returns the first [`FTypeError`] encountered.
 pub fn typecheck_open(
     decls: &FDeclarations,
-    gamma: &[(Symbol, FType)],
+    gamma: &Gamma<FType>,
     e: &FExpr,
 ) -> Result<FType, FTypeError> {
     let mut env = Scope {
@@ -148,7 +153,7 @@ pub fn typecheck_open(
 /// So checking a term under a large environment costs no more than
 /// checking it under an empty one, apart from lookups that reach it.
 struct Scope<'g> {
-    base: &'g [(Symbol, FType)],
+    base: &'g Gamma<FType>,
     local: Vec<(Symbol, FType)>,
 }
 
@@ -171,9 +176,11 @@ impl Scope<'_> {
             .map(|(_, t)| t)
     }
 
-    /// Every binder's type, in no particular order.
-    fn types(&self) -> impl Iterator<Item = &FType> {
-        self.base.iter().chain(&self.local).map(|(_, t)| t)
+    /// Whether `a` is free in some binder's type (`a ∈ ftv(Γ)`): a
+    /// probe of the base's summary plus a walk of the binders pushed
+    /// above it.
+    fn binds_free(&self, a: Symbol) -> bool {
+        self.base.binds_free(a) || self.local.iter().any(|(_, t)| t.has_free(a))
     }
 }
 
@@ -217,7 +224,7 @@ fn check(decls: &FDeclarations, gamma: &mut Scope<'_>, e: &FExpr) -> Result<FTyp
             // F-TAbs side condition α ∉ ftv(Γ): since elaboration
             // freshens binders, a violation indicates a bug upstream;
             // report it as a mismatch-style error.
-            if gamma.types().any(|t| t.ftv().contains(a)) {
+            if gamma.binds_free(*a) {
                 return Err(FTypeError::Mismatch {
                     expected: FType::Var(*a),
                     found: FType::Var(*a),
@@ -564,7 +571,7 @@ mod tests {
         // Γ = x:Int, x:Bool — the later binder shadows, as an inner λ
         // would; a binder the term introduces shadows both.
         let x = v("x");
-        let gamma = [(x, FType::Int), (x, FType::Bool)];
+        let gamma: Gamma<FType> = [(x, FType::Int), (x, FType::Bool)].into_iter().collect();
         let decls = FDeclarations::new();
         let open = |e: &FExpr| typecheck_open(&decls, &gamma, e);
         let closed = |e: &FExpr| {
@@ -586,13 +593,20 @@ mod tests {
             FExpr::UnOp(UnOp::Neg, std::rc::Rc::new(FExpr::var("x"))),
             FExpr::var("y"),
             FExpr::TyAbs(v("a"), std::rc::Rc::new(FExpr::var("x"))),
+            // The side condition sees binders the term pushes, too.
+            FExpr::lam(
+                "z",
+                FType::Var(v("a")),
+                FExpr::TyAbs(v("a"), std::rc::Rc::new(FExpr::var("z"))),
+            ),
         ];
         for e in &cases {
             assert_eq!(open(e), closed(e), "{e}");
         }
         assert_eq!(open(&cases[0]), Ok(FType::Bool));
         // Γ's types count for the `TyAbs` side condition too.
-        let ga = [(x, FType::Var(v("a")))];
+        assert!(open(&cases[5]).is_err());
+        let ga: Gamma<FType> = [(x, FType::Var(v("a")))].into_iter().collect();
         assert!(typecheck_open(&decls, &ga, &cases[4]).is_err());
     }
 

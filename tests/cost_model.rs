@@ -10,7 +10,7 @@
 
 use genprog::{chain_env, deep_stack_env, hk_nested_env, partial_env, poly_env, wide_env};
 use implicit_core::logic::verify_derivation;
-use implicit_core::resolve::{resolve, Resolution, ResolutionPolicy, RuleRef};
+use implicit_core::resolve::{resolve, Premise, Resolution, ResolutionPolicy, RuleRef};
 use implicit_core::syntax::{RuleType, Type};
 use implicit_core::ImplicitEnv;
 
@@ -153,7 +153,7 @@ fn b12_disabling_the_cache_disables_memoization() {
 }
 
 #[test]
-fn b12_push_invalidates_exactly_the_shadowed_entries() {
+fn b12_shadowing_push_forces_rederivation_while_in_scope() {
     let (mut env, q) = chain_env(4);
     let pol = policy();
     let first = resolve(&env, &q, &pol).unwrap();
@@ -161,20 +161,56 @@ fn b12_push_invalidates_exactly_the_shadowed_entries() {
     assert_eq!(populated, first.steps());
     // A frame whose heads shadow nothing the derivations looked up
     // (the chain queries List- and Int-headed types only) keeps every
-    // entry alive...
+    // entry valid, and the replayed hit re-addresses the same
+    // absolute frame through the deeper stack.
     env.push(vec![Type::Bool.promote()]);
-    assert_eq!(env.cache_len(), populated);
-    // ...and the replayed hit re-addresses the same absolute frame
-    // through the deeper stack.
     let before = env.cache_counters();
     let res = resolve(&env, &q, &pol).unwrap();
     assert_eq!(env.cache_counters().hits, before.hits + 1);
     assert!(matches!(res.rule, RuleRef::Env { frame: 1, .. }));
     assert!(verify_derivation(&env, &res));
-    // A frame providing Int shadows the chain's base value — every
-    // chain entry's derivation reaches Int, so all are invalidated.
+
+    // A List-headed frame could shadow every chain query (the index
+    // admits it), though none of its rules matches: while it is in
+    // scope the query misses and re-derives, and the derivation is
+    // the one the uncached resolver builds.
+    env.push(vec![Type::list(Type::Bool).promote()]);
+    let before = env.cache_counters();
+    let res = resolve(&env, &q, &pol).unwrap();
+    // Every List-headed step misses; only the `Int` leaf, which no
+    // pushed frame can shadow, still hits.
+    assert_eq!(env.cache_counters().misses, before.misses + 4);
+    assert_eq!(env.cache_counters().hits, before.hits + 1);
+    assert!(verify_derivation(&env, &res));
+    assert_eq!(res, resolve(&env, &q, &policy_uncached()).unwrap());
+    // After the pop the re-derived entry (it used no popped rule) hits
+    // again, with the cache-off derivation.
+    env.pop();
+    let before = env.cache_counters();
+    let res = resolve(&env, &q, &pol).unwrap();
+    assert_eq!(env.cache_counters().hits, before.hits + 1);
+    assert_eq!(env.cache_counters().misses, before.misses);
+    assert_eq!(res, resolve(&env, &q, &policy_uncached()).unwrap());
+
+    // A frame providing Int really shadows the chain's base value:
+    // in scope the query re-derives through the new frame; after the
+    // pop, whatever the cache answers is the cache-off derivation.
     env.push(vec![Type::Int.promote()]);
-    assert_eq!(env.cache_len(), 0);
+    let before = env.cache_counters();
+    let res = resolve(&env, &q, &pol).unwrap();
+    assert_eq!(env.cache_counters().hits, before.hits);
+    assert_eq!(env.cache_counters().misses, before.misses + 5);
+    assert!(verify_derivation(&env, &res));
+    assert_eq!(res, resolve(&env, &q, &policy_uncached()).unwrap());
+    let mut base = &res;
+    while let Some(Premise::Derived(inner)) = base.premises.first() {
+        base = inner;
+    }
+    assert_eq!(base.rule, RuleRef::Env { frame: 0, index: 0 });
+    env.pop();
+    let res = resolve(&env, &q, &pol).unwrap();
+    assert!(verify_derivation(&env, &res));
+    assert_eq!(res, resolve(&env, &q, &policy_uncached()).unwrap());
 }
 
 #[test]
